@@ -43,13 +43,14 @@ from .measures import (
     extremal_dependence,
     lp_norm,
     max_tail_dependence,
+    measure_rows,
     point_eval,
     spearman_ev,
     tdc,
 )
 from .order import OrderRelation, OrderResult, compare
 from .panel import ReturnPanel, load_prices, log_returns, summary_stats
-from .pipeline import PairReport, PipelineConfig, WindowRecord, cross_section, run_pair
+from .pipeline import PairReport, PipelineConfig, cross_section, run_pair, run_pairs
 from .simulate import CopulaSpec, analytic_tdf, sample
 from .tdf import (
     DEFAULT_GRID_SIZE,
@@ -62,6 +63,7 @@ from .tdf import (
     from_parametric,
     independence,
     least_concave_majorant,
+    least_concave_majorant_rows,
     parabola,
     tent,
 )

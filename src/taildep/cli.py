@@ -22,15 +22,12 @@ from .errors import TailDepError
 from .estimator import EstimatorConfig, rolling_estimate
 from .order import compare
 from .panel import LONG, WIDE, ReturnPanel, load_prices, log_returns, summary_stats
-from .pipeline import DEFAULT_MEASURES, PipelineConfig, cross_section, run_pair, write_run
+from .pipeline import DEFAULT_MEASURES, PipelineConfig, cross_section, format_float, run_pairs, write_run
+from .pipeline import run_pair  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .simulate import CopulaSpec, sample
 from .tdf import TailDependenceFunction
 
 _ENVELOPE_MEASURES = {"linf": "max_td", "l1": "avg_td"}
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def _write_json(data, path: str | None) -> None:
@@ -126,7 +123,7 @@ def _write_returns_csv(panel: ReturnPanel, path: str) -> None:
         for i, d in enumerate(panel.dates):
             row = [d]
             for v in panel.values[i]:
-                row.append("" if math.isnan(v) else _fmt(v))
+                row.append("" if math.isnan(v) else format_float(v))
             fh.write(",".join(row) + "\n")
 
 
@@ -167,11 +164,8 @@ def _cmd_estimate(args) -> None:
 def _cmd_measures(args) -> None:
     tdf = _load_tdf(args.tdf)
     names = [n.strip() for n in args.measures.split(",") if n.strip()]
-    from .pipeline import _measure_value
-
-    payload = [
-        {"name": name, "value": _measure_value(tdf, name, args.normalization)} for name in names
-    ]
+    values = meas.measure_rows(tdf.values[None, :], names, args.normalization)[0]
+    payload = [{"name": name, "value": value} for name, value in zip(names, values.tolist())]
     _write_json(payload, args.out)
 
 
@@ -210,7 +204,7 @@ def _cmd_simulate(args) -> None:
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("u,v\n")
         for u, v in pairs:
-            fh.write(f"{_fmt(u)},{_fmt(v)}\n")
+            fh.write(f"{format_float(u)},{format_float(v)}\n")
     print(f"wrote {args.out}: {args.n} pairs from {args.family}")
 
 
@@ -235,7 +229,7 @@ def _cmd_report(args) -> None:
         project=not args.no_project,
         normalization=args.normalization,
     )
-    reports = [run_pair(returns, args.base, other, config) for other in others]
+    reports = run_pairs(returns, args.base, others, config)
     cross = cross_section(reports) if reports else None
     manifest = {
         "command": "report",
@@ -253,7 +247,7 @@ def _cmd_report(args) -> None:
             "project": config.project,
             "normalization": config.normalization,
         },
-        "windows_per_pair": {rep.other: len(rep.records) for rep in reports},
+        "windows_per_pair": {rep.other: len(rep.starts) for rep in reports},
         "skipped_windows": {rep.other: list(rep.skipped) for rep in reports},
     }
     write_run(args.out_dir, reports, cross, manifest, stats=summary_stats(returns))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass, field
 from datetime import date
 
@@ -73,45 +74,46 @@ def load_prices(path, fmt: str = WIDE) -> ReturnPanel:
     Errors carry 1-based row numbers (header is row 1).
     """
     with open(path, newline="", encoding="utf-8") as handle:
-        rows = list(csv.reader(handle))
-    if not rows:
-        raise DataError("empty CSV file")
-    if fmt == WIDE:
-        return _load_wide(rows)
-    if fmt == LONG:
-        return _load_long(rows)
+        rows = csv.reader(handle)
+        header = next(rows, None)
+        if header is None:
+            raise DataError("empty CSV file")
+        if fmt == WIDE:
+            return _load_wide(header, rows)
+        if fmt == LONG:
+            return _load_long(header, rows)
     raise DataError(f"format must be {WIDE!r} or {LONG!r}")
 
 
-def _load_wide(rows: list[list[str]]) -> ReturnPanel:
-    header = rows[0]
+def _load_wide(header: list[str], rows) -> ReturnPanel:
     if len(header) < 2:
         raise DataError("wide CSV needs a date column and at least one ticker")
     tickers = tuple(t.strip() for t in header[1:])
     if len(set(tickers)) != len(tickers):
         raise DataError("duplicate ticker columns")
     dates: list[date] = []
-    data = []
-    for row_no, row in enumerate(rows[1:], start=2):
+    data = array("d")  # row-major prices, parsed as the rows stream in
+    for row_no, row in enumerate(rows, start=2):
         if len(row) != len(header):
             raise DataError(f"row {row_no}: expected {len(header)} cells, found {len(row)}")
         d = _parse_date(row[0], row_no)
         if dates and d <= dates[-1]:
             raise DataError(f"row {row_no}: dates must be strictly increasing ({d} after {dates[-1]})")
         dates.append(d)
-        data.append([_parse_cell(cell, row_no, "price") for cell in row[1:]])
+        data.extend(_parse_cell(cell, row_no, "price") for cell in row[1:])
     if not dates:
         raise DataError("no data rows")
-    return ReturnPanel(tuple(d.isoformat() for d in dates), tickers, np.array(data))
+    values = np.frombuffer(data, dtype=float).reshape(len(dates), len(tickers))
+    return ReturnPanel(tuple(d.isoformat() for d in dates), tickers, values)
 
 
-def _load_long(rows: list[list[str]]) -> ReturnPanel:
-    header = [h.strip().lower() for h in rows[0]]
+def _load_long(header: list[str], rows) -> ReturnPanel:
+    header = [h.strip().lower() for h in header]
     if header != ["date", "ticker", "price"]:
         raise DataError("long CSV header must be date,ticker,price")
     cells: dict[tuple[date, str], float] = {}
     tickers: list[str] = []
-    for row_no, row in enumerate(rows[1:], start=2):
+    for row_no, row in enumerate(rows, start=2):
         if len(row) != 3:
             raise DataError(f"row {row_no}: expected 3 cells, found {len(row)}")
         d = _parse_date(row[0], row_no)
@@ -171,6 +173,29 @@ def _series_stats(values: np.ndarray) -> dict[str, float]:
         "q05": _quantile(clean, 0.05),
         "q95": _quantile(clean, 0.95),
     }
+
+
+def series_stats_rows(values: np.ndarray) -> np.ndarray:
+    """``_series_stats`` of every row of a finite 2-D array, as (rows, SERIES_STATS).
+
+    Reductions run along the last axis of a C-contiguous array, where numpy
+    sums in the same order as for one series, so each row matches exactly.
+    """
+    a = np.ascontiguousarray(values, dtype=float)
+    n = a.shape[1]
+    if n == 0:
+        raise DataError("a series has no valid observations")
+    if not np.all(np.isfinite(a)):
+        raise DataError("series stacked as rows must be finite")
+    return np.column_stack([
+        np.mean(a, axis=1),
+        np.median(a, axis=1),
+        np.std(a, axis=1, ddof=1) if n > 1 else np.zeros(a.shape[0]),
+        np.min(a, axis=1),
+        np.max(a, axis=1),
+        np.quantile(a, 0.05, axis=1, method="linear"),
+        np.quantile(a, 0.95, axis=1, method="linear"),
+    ])
 
 
 def summary_stats(panel: ReturnPanel) -> dict:

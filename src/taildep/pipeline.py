@@ -6,6 +6,14 @@ the feasible sup-measure range implied by the window's coefficient.  Pair
 results aggregate cross-sectionally per window date.  All outputs are
 deterministic: rerunning the same configuration reproduces files byte for
 byte.
+
+The work is batch-first.  The windows of all pairs are stacked into one
+C-contiguous (windows, m + 1) array; the projection, the measures and the
+bands run over its rows, and every reduction runs along a contiguous last
+axis, which numpy sums in the same order as a single curve.  Each row is
+therefore bit-identical to the one-window composition of ``empirical_tdf``,
+``least_concave_majorant``, the ``measures`` functions and
+``linf_range_given_tdc``, which remain the one-curve API.
 """
 
 from __future__ import annotations
@@ -17,12 +25,16 @@ from pathlib import Path
 import numpy as np
 
 from . import measures as meas
-from .envelope import linf_range_given_tdc
-from .errors import ConfigError, DataError
-from .estimator import EstimatorConfig, rolling_estimate
+from .errors import DataError, ParameterError
+from .estimator import EstimatorConfig, rolling_estimate, window_starts
 from .measures import DOUBLED
-from .panel import ReturnPanel, _quantile, _series_stats
-from .tdf import TailDependenceFunction, least_concave_majorant
+from .panel import ReturnPanel, _quantile, series_stats_rows
+from .tdf import TailDependenceFunction, TDFKind, least_concave_majorant_rows
+
+# The one-window forms of the batched steps stay importable here, where
+# perfbench/tracing.py wraps them.
+from .envelope import linf_range_given_tdc  # noqa: F401
+from .tdf import least_concave_majorant  # noqa: F401
 
 DEFAULT_MEASURES = ("tdc", "l1", "linf", "spearman_ev", "extremal_dep")
 CROSS_STATS = ("mean", "median", "st_dev", "minimum", "maximum", "q05", "q95")
@@ -47,48 +59,82 @@ class PipelineConfig:
 
 
 @dataclass(frozen=True)
-class WindowRecord:
-    """Measures for one estimation window."""
-
-    start: int
-    end_date: str
-    values: dict[str, float]
-    linf_bounds: tuple[float, float]
-    tdf: TailDependenceFunction
-
-
-@dataclass(frozen=True)
 class PairReport:
-    """All windows of one ticker pair."""
+    """All windows of one ticker pair, one array row per window."""
 
     base: str
     other: str
     measure_names: tuple[str, ...]
-    records: tuple[WindowRecord, ...] = field(repr=False)
+    starts: np.ndarray = field(repr=False)  # (windows,) first row of each window
+    end_dates: tuple[str, ...] = field(repr=False)
+    values: np.ndarray = field(repr=False)  # (windows, measures), columns as measure_names
+    linf_bounds: np.ndarray = field(repr=False)  # (windows, 2): feasible linf range
+    curves: np.ndarray = field(repr=False)  # (windows, m + 1): the function measured
     skipped: tuple[int, ...]
     config: PipelineConfig
 
-    @property
-    def end_dates(self) -> tuple[str, ...]:
-        return tuple(r.end_date for r in self.records)
+    def value(self, name: str) -> np.ndarray:
+        """The named measure over the windows."""
+        return self.values[:, self.measure_names.index(name)]
+
+    def tdf(self, window: int) -> TailDependenceFunction:
+        """The function measured in one window (VALIDATED when projected)."""
+        kind = TDFKind.VALIDATED if self.config.project else TDFKind.EMPIRICAL
+        return TailDependenceFunction(self.config.grid_size, self.curves[window], kind)
 
 
-def _measure_value(tdf: TailDependenceFunction, name: str, normalization: str) -> float:
-    if name == "tdc":
-        return meas.tdc(tdf).value
-    if name == "l1":
-        return meas.average_tail_dependence(tdf, normalization).value
-    if name == "linf":
-        return meas.max_tail_dependence(tdf, normalization).value
-    if name == "spearman_ev":
-        return meas.spearman_ev(tdf).value
-    if name == "extremal_dep":
-        return meas.extremal_dependence(tdf).value
-    if name.startswith("lp:"):
-        return meas.lp_norm(tdf, float(name.split(":", 1)[1]), normalization).value
-    if name.startswith("point:"):
-        return meas.point_eval(tdf, float(name.split(":", 1)[1])).value
-    raise ConfigError(f"unknown measure {name!r}")
+def run_pairs(
+    panel: ReturnPanel,
+    base: str,
+    others,
+    config: PipelineConfig = PipelineConfig(),
+    measure_names: tuple[str, ...] = DEFAULT_MEASURES,
+) -> list[PairReport]:
+    """Rolling estimation and measurement for the pairs (base, other), in order.
+
+    The windows of all pairs are stacked into one array before the projection
+    and the measures, so both run once however the windows split into pairs.
+    """
+    names = tuple(measure_names)
+    for name in names:
+        meas.parse_measure(name)  # fail before estimating
+    others = tuple(others)
+    series = [_pair_series(panel, base, other, config.window) for other in others]
+    # One array for the windows of all pairs; each pair's estimates land in
+    # their block directly.
+    sizes = [len(window_starts(x, y, config.window, config.step)[0]) for x, y in series]
+    offsets = np.cumsum([0, *sizes])
+    curves = np.empty((offsets[-1], config.grid_size + 1))
+    estimates = [
+        rolling_estimate(x, y, config.window, config.step, config.estimator(),
+                         out=curves[offsets[j]:offsets[j + 1]])
+        for j, (x, y) in enumerate(series)
+    ]
+    if config.project:
+        least_concave_majorant_rows(curves)
+    curves.setflags(write=False)
+    values = meas.measure_rows(curves, names, config.normalization)
+    bands = _linf_bands(meas.measure_rows(curves, ("tdc",))[:, 0], config.normalization)
+    reports = []
+    for j, other in enumerate(others):
+        rows = slice(offsets[j], offsets[j + 1])
+        starts = estimates[j].starts
+        end_dates = tuple(panel.dates[t + config.window - 1] for t in starts.tolist())
+        reports.append(PairReport(base, other, names, starts, end_dates, values[rows],
+                                  bands[rows], curves[rows], estimates[j].skipped, config))
+    return reports
+
+
+def _pair_series(panel: ReturnPanel, base: str, other: str, window: int):
+    x = panel.column(base)
+    y = panel.column(other)
+    joint = int((np.isfinite(x) & np.isfinite(y)).sum())
+    if joint < window:
+        raise DataError(
+            f"pair ({base}, {other}) has {joint} joint observations; "
+            f"window {window} needs at least that many"
+        )
+    return x, y
 
 
 def run_pair(
@@ -99,33 +145,24 @@ def run_pair(
     measure_names: tuple[str, ...] = DEFAULT_MEASURES,
 ) -> PairReport:
     """Rolling estimation and measurement for one pair of return series."""
-    x = panel.column(base)
-    y = panel.column(other)
-    joint = np.isfinite(x) & np.isfinite(y)
-    if int(joint.sum()) < config.window:
-        raise DataError(
-            f"pair ({base}, {other}) has {int(joint.sum())} joint observations; "
-            f"window {config.window} needs at least that many"
-        )
-    rolling = rolling_estimate(x, y, config.window, config.step, config.estimator())
-    records = []
-    for start, raw_tdf in rolling:
-        tdf = least_concave_majorant(raw_tdf) if config.project else raw_tdf
-        values = {name: _measure_value(tdf, name, config.normalization) for name in measure_names}
-        lam = meas.tdc(tdf).value
-        bounds = linf_range_given_tdc(lam, config.normalization)
-        records.append(
-            WindowRecord(start, panel.dates[start + config.window - 1], values, bounds, tdf)
-        )
-    return PairReport(base, other, tuple(measure_names), tuple(records), rolling.skipped, config)
+    return run_pairs(panel, base, (other,), config, measure_names)[0]
+
+
+def _linf_bands(lam: np.ndarray, normalization: str) -> np.ndarray:
+    """``linf_range_given_tdc`` of each coefficient, as (lower, upper) rows."""
+    if not np.all((lam >= 0.0) & (lam <= 1.0)):
+        raise ParameterError("tail dependence coefficient must lie in [0, 1]")
+    scale = meas.scale_factor(normalization)
+    return np.column_stack([scale * lam / 2.0, scale * lam / (1.0 + lam)])
 
 
 def cross_section(reports: list[PairReport]) -> dict:
     """Aggregate pair reports across pairs.
 
-    Per window date and measure: cross-pair statistics (the per-date rows).
-    Per measure: each pair's time-series statistic, aggregated across pairs
-    (the summary table).  All reports must share identical window dates.
+    Per window date and measure: cross-pair statistics, a (dates, CROSS_STATS)
+    array (the per-date rows).  Per measure: each pair's time-series
+    statistic, aggregated across pairs (the summary table).  All reports must
+    share identical window dates.
     """
     if not reports:
         raise DataError("no pair reports to aggregate")
@@ -139,15 +176,13 @@ def cross_section(reports: list[PairReport]) -> dict:
     names = reports[0].measure_names
     per_date = {}
     table = {}
-    for name in names:
-        matrix = np.array([[r.values[name] for r in rep.records] for rep in reports])
-        # matrix is pairs x windows.
-        per_date[name] = [
-            dict(zip(CROSS_STATS, _stat_row(matrix[:, t]))) for t in range(matrix.shape[1])
-        ]
+    for col, name in enumerate(names):
+        matrix = np.array([rep.values[:, col] for rep in reports])  # pairs x windows
+        per_date[name] = series_stats_rows(np.ascontiguousarray(matrix.T))
+        series = series_stats_rows(matrix)  # pairs x CROSS_STATS
         table[name] = {}
         for label, key in _TABLE_KEY.items():
-            series_stat = np.array([_series_stats(matrix[p])[key] for p in range(len(reports))])
+            series_stat = np.ascontiguousarray(series[:, CROSS_STATS.index(key)])
             table[name][label] = {
                 "5%": _quantile(series_stat, 0.05),
                 "10%": _quantile(series_stat, 0.10),
@@ -159,15 +194,11 @@ def cross_section(reports: list[PairReport]) -> dict:
     return {"dates": list(dates), "per_date": per_date, "table": table}
 
 
-def _stat_row(column: np.ndarray) -> tuple[float, ...]:
-    stats = _series_stats(column)
-    return tuple(stats[key] for key in CROSS_STATS)
-
-
 # -- run directory -----------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
+def format_float(x: float) -> str:
+    """Shortest text that reads back as the same float; used for every CSV cell."""
     return repr(float(x))
 
 
@@ -193,19 +224,19 @@ def write_run(
         with open(path, "w", encoding="utf-8", newline="") as fh:
             header = ["start", "end_date", *rep.measure_names, "linf_lo", "linf_hi"]
             fh.write(",".join(header) + "\n")
-            for rec in rep.records:
-                cells = [str(rec.start), rec.end_date]
-                cells += [_fmt(rec.values[name]) for name in rep.measure_names]
-                cells += [_fmt(rec.linf_bounds[0]), _fmt(rec.linf_bounds[1])]
-                fh.write(",".join(cells) + "\n")
+            rows = zip(rep.starts.tolist(), rep.end_dates, rep.values.tolist(),
+                       rep.linf_bounds.tolist())
+            # tolist() gives Python floats, whose repr is format_float's text.
+            for start, end_date, values, bounds in rows:
+                fh.write(",".join([str(start), end_date, *map(repr, values), *map(repr, bounds)]) + "\n")
     if cross is not None:
         cs_dir = out / "cross_section"
         cs_dir.mkdir(parents=True, exist_ok=True)
         for name, rows in cross["per_date"].items():
             with open(cs_dir / f"{name}.csv", "w", encoding="utf-8", newline="") as fh:
                 fh.write("end_date," + ",".join(CROSS_STATS) + "\n")
-                for d, row in zip(cross["dates"], rows):
-                    fh.write(d + "," + ",".join(_fmt(row[k]) for k in CROSS_STATS) + "\n")
+                for d, row in zip(cross["dates"], rows.tolist()):
+                    fh.write(d + "," + ",".join(map(repr, row)) + "\n")
         with open(cs_dir / "summary.json", "w", encoding="utf-8") as fh:
             json.dump(cross["table"], fh, indent=2, sort_keys=True)
             fh.write("\n")

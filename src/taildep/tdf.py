@@ -9,7 +9,8 @@ quadrant is recovered by homogeneity:
 
 This module holds the grid representation (uniform grid, piecewise-linear
 interpolation), constructors for the standard parametric shapes, validation,
-the concave projection, and JSON serialization.
+the concave projection (one curve, or every row of a stacked array), and JSON
+serialization.
 """
 
 from __future__ import annotations
@@ -27,6 +28,10 @@ DEFAULT_GRID_SIZE = 200
 # Constraint slack accepted at construction; violations beyond these are reported.
 BOUND_TOL = 1e-9
 CONCAVITY_TOL = 1e-9
+
+# Rows projected together by ``least_concave_majorant_rows``; the hull keeps
+# one stack of grid indices per row.
+HULL_CHUNK_ROWS = 8192
 
 
 class TDFKind(Enum):
@@ -134,7 +139,8 @@ class TailDependenceFunction:
         return out
 
 
-def _upper_bound(m: int) -> np.ndarray:
+def upper_bound(m: int) -> np.ndarray:
+    """The admissible bound min(s, 1 - s) on the m-grid."""
     s = np.arange(m + 1) / m
     return np.minimum(s, 1.0 - s)
 
@@ -154,7 +160,7 @@ def from_grid(values, enforce_concavity: bool = True):
     if not np.all(np.isfinite(v)):
         raise ParameterError("grid values must be finite")
     m = v.size - 1
-    bound = _upper_bound(m)
+    bound = upper_bound(m)
 
     violations = []
     for i in np.flatnonzero(v < -BOUND_TOL):
@@ -186,7 +192,7 @@ def _build(values: np.ndarray, what: str) -> TailDependenceFunction:
 def comonotone(grid_size: int = DEFAULT_GRID_SIZE) -> TailDependenceFunction:
     """Strongest admissible function, min(s, 1 - s)."""
     _check_grid_size(grid_size)
-    return _build(_upper_bound(grid_size), "comonotone")
+    return _build(upper_bound(grid_size), "comonotone")
 
 
 def independence(grid_size: int = DEFAULT_GRID_SIZE) -> TailDependenceFunction:
@@ -213,7 +219,7 @@ def tent(a: float, b: float, grid_size: int = DEFAULT_GRID_SIZE) -> TailDependen
     if a < 0.0 or b < 0.0 or not np.isfinite(a) or not np.isfinite(b):
         raise ParameterError("tent requires a >= 0 and b >= 0")
     s = np.arange(grid_size + 1) / grid_size
-    values = np.minimum(np.minimum(a * s, b * (1.0 - s)), _upper_bound(grid_size))
+    values = np.minimum(np.minimum(a * s, b * (1.0 - s)), upper_bound(grid_size))
     return _build(values, "tent")
 
 
@@ -270,8 +276,72 @@ def least_concave_majorant(tdf: TailDependenceFunction) -> TailDependenceFunctio
                 break
         hull.append(i)
     majorant = np.interp(s, s[hull], v[hull])
-    majorant = np.minimum(majorant, _upper_bound(m))
+    majorant = np.minimum(majorant, upper_bound(m))
     return _build(majorant, "least_concave_majorant")
+
+
+def least_concave_majorant_rows(values: np.ndarray) -> None:
+    """Overwrite each row of a C-contiguous (rows, m + 1) array with its projection.
+
+    The row form of ``least_concave_majorant``: the same monotone chain runs
+    column by column with one stack per row, the interpolation repeats
+    ``np.interp``'s arithmetic, and the clipping is ``from_grid``'s, so every
+    row equals the one-curve result bit for bit.
+    """
+    if values.ndim != 2 or not values.flags.c_contiguous or values.shape[1] < 3:
+        raise ParameterError("expected a C-contiguous (rows, m + 1) array with m >= 2")
+    for lo in range(0, values.shape[0], HULL_CHUNK_ROWS):
+        _project_chunk(values[lo:lo + HULL_CHUNK_ROWS])
+
+
+def _project_chunk(v: np.ndarray) -> None:
+    rows, n = v.shape
+    m = n - 1
+    s = np.arange(n) / m
+    r = np.arange(rows)
+    # Upper hull, left to right; stack[j, :top[j]] is row j's chain so far.
+    stack = np.zeros((rows, n), dtype=np.min_scalar_type(m))
+    stack[:, 1] = 1
+    top = np.full(rows, 2)
+    for i in range(2, n):
+        vi = v[:, i]
+        live = r
+        while live.size:
+            t = top[live]
+            i1 = stack[live, t - 1]
+            i0 = stack[live, t - 2]
+            v0 = v[live, i0]
+            drop = (v[live, i1] - v0) * (s[i] - s[i0]) <= (vi[live] - v0) * (s[i1] - s[i0])
+            live = live[drop]
+            top[live] -= 1
+            live = live[top[live] >= 2]
+        stack[r, top] = i
+        top += 1
+
+    # np.interp(s, s[hull], v[hull]), in place: hull vertices keep their value,
+    # the points between two vertices lo < i < hi get slope * (s_i - s_lo) + v_lo
+    # with slope = (v_hi - v_lo) / (s_hi - s_lo).  Vertices are never
+    # overwritten, so v stays readable at every vertex.
+    lo = np.zeros(rows, dtype=np.intp)
+    v_lo = v[:, 0].copy()
+    pos = np.ones(rows, dtype=np.intp)  # stack position of the segment's right end
+    hi = stack[:, 1].astype(np.intp)
+    slope = (v[r, hi] - v_lo) / (s[hi] - s[0])
+    for i in range(1, m):
+        at = hi == i
+        v[:, i] = np.where(at, v[:, i], slope * (s[i] - s[lo]) + v_lo)
+        moved = np.flatnonzero(at)
+        if moved.size:
+            pos[moved] += 1
+            lo[moved] = i
+            v_lo[moved] = v[moved, i]
+            hi[moved] = stack[moved, pos[moved]]
+            slope[moved] = (v[moved, hi[moved]] - v_lo[moved]) / (s[hi[moved]] - s[i])
+    # least_concave_majorant's minimum with the bound, then from_grid's clip;
+    # the clip alone gives the same values.
+    np.clip(v, 0.0, upper_bound(m), out=v)
+    v[:, 0] = 0.0
+    v[:, m] = 0.0
 
 
 def _check_grid_size(grid_size: int):

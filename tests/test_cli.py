@@ -91,6 +91,16 @@ def test_measures_on_serialized_tdf(tmp_path):
     assert doc["linf"] == pytest.approx(2.0 * clayton(2.0).values.max())
 
 
+def test_measures_malformed_name_exits_2(tmp_path, capsys):
+    f = tmp_path / "tdf.json"
+    f.write_text(clayton(2.0).to_json())
+    for bad in ("lp:abc", "point:", "tdc:2", "entropy"):
+        assert main(["measures", "--tdf", str(f), "--measures", f"tdc,{bad}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and bad in captured.err
+
+
 def test_compare_serialized(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     a.write_text(clayton(0.5).to_json())

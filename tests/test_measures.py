@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from taildep.errors import ParameterError
+from taildep.errors import DomainError, ParameterError
 from taildep.measures import (
     DOUBLED,
     RAW,
@@ -188,6 +188,14 @@ def test_ev_copula_boundary():
     f = comonotone()
     assert ev_copula(f, 0.0, 0.5) == 0.0
     assert ev_copula(f, 1.0, 0.5) == pytest.approx(0.5)
+
+
+def test_ev_copula_rejects_nan():
+    f = comonotone()
+    with pytest.raises(DomainError):
+        ev_copula(f, float("nan"), 0.5)
+    with pytest.raises(DomainError):
+        ev_copula(f, 0.5, np.array([0.2, np.nan]))
 
 
 @given(u=st.floats(0.01, 0.99), v=st.floats(0.01, 0.99))

@@ -8,6 +8,7 @@ import pytest
 from taildep.errors import ConfigError, DataError
 from taildep.panel import ReturnPanel
 from taildep.pipeline import (
+    CROSS_STATS,
     PipelineConfig,
     cross_section,
     run_pair,
@@ -34,25 +35,24 @@ CFG = PipelineConfig(window=100, step=50, grid_size=50)
 def test_run_pair_window_layout():
     rep = run_pair(toy_panel(), "BASE", "A", CFG)
     assert rep.base == "BASE" and rep.other == "A"
-    assert [r.start for r in rep.records] == [0, 50, 100, 150, 200]
+    assert rep.starts.tolist() == [0, 50, 100, 150, 200]
     # window end date is the last row inside the window
-    assert rep.records[0].end_date == toy_panel().dates[99]
+    assert rep.end_dates[0] == toy_panel().dates[99]
     assert rep.skipped == ()
 
 
 def test_record_values_follow_measure_names():
     rep = run_pair(toy_panel(), "BASE", "A", CFG,
                    measure_names=("tdc", "lp:3", "point:0.25"))
-    r0 = rep.records[0]
-    assert set(r0.values) == {"tdc", "lp:3", "point:0.25"}
-    assert 0.0 <= r0.values["tdc"] <= 1.0
+    assert set(rep.measure_names) == {"tdc", "lp:3", "point:0.25"}
+    assert rep.values.shape[1] == 3
+    assert 0.0 <= rep.value("tdc")[0] <= 1.0
 
 
 def test_linf_contained_in_band_every_window():
     rep = run_pair(toy_panel(), "BASE", "A", CFG)
-    for r in rep.records:
-        lo, hi = r.linf_bounds
-        assert lo - 1e-12 <= r.values["linf"] <= hi + 1e-12
+    for linf, (lo, hi) in zip(rep.value("linf"), rep.linf_bounds):
+        assert lo - 1e-12 <= linf <= hi + 1e-12
 
 
 def test_projection_toggle():
@@ -60,9 +60,9 @@ def test_projection_toggle():
     off = run_pair(toy_panel(), "BASE", "A",
                    PipelineConfig(window=100, step=50, grid_size=50,
                                   project=False))
-    assert on.records[0].tdf.kind is TDFKind.VALIDATED
-    assert off.records[0].tdf.kind is TDFKind.EMPIRICAL
-    assert np.all(on.records[0].tdf.values >= off.records[0].tdf.values - 1e-12)
+    assert on.tdf(0).kind is TDFKind.VALIDATED
+    assert off.tdf(0).kind is TDFKind.EMPIRICAL
+    assert np.all(on.tdf(0).values >= off.tdf(0).values - 1e-12)
 
 
 def test_normalization_switch_scales_linf():
@@ -70,11 +70,11 @@ def test_normalization_switch_scales_linf():
     raw = run_pair(toy_panel(), "BASE", "A",
                    PipelineConfig(window=100, step=50, grid_size=50,
                                   normalization="raw"))
-    assert dbl.records[0].values["linf"] == pytest.approx(
-        2.0 * raw.records[0].values["linf"])
+    assert dbl.value("linf")[0] == pytest.approx(
+        2.0 * raw.value("linf")[0])
     # tdc is a coefficient, not an integral: the switch leaves it alone
-    assert dbl.records[0].values["tdc"] == pytest.approx(
-        raw.records[0].values["tdc"])
+    assert dbl.value("tdc")[0] == pytest.approx(
+        raw.value("tdc")[0])
 
 
 def test_nan_windows_reported_skipped():
@@ -84,7 +84,7 @@ def test_nan_windows_reported_skipped():
     broken = ReturnPanel(dates=panel.dates, tickers=panel.tickers, values=vals)
     rep = run_pair(broken, "BASE", "A", CFG)
     assert 50 in rep.skipped and 100 in rep.skipped
-    assert [r.start for r in rep.records] == [0, 150, 200]
+    assert rep.starts.tolist() == [0, 150, 200]
 
 
 def test_unknown_ticker_and_measure():
@@ -108,8 +108,8 @@ def test_cross_section_layout():
     reports = [run_pair(panel, "BASE", t, CFG) for t in ("A", "B")]
     cross = cross_section(reports)
     assert cross["dates"] == list(reports[0].end_dates)
-    row = cross["per_date"]["tdc"][0]
-    vals = [rep.records[0].values["tdc"] for rep in reports]
+    row = dict(zip(CROSS_STATS, cross["per_date"]["tdc"][0]))
+    vals = [rep.value("tdc")[0] for rep in reports]
     assert row["mean"] == pytest.approx(np.mean(vals))
     assert row["minimum"] == pytest.approx(min(vals))
     table = cross["table"]["linf"]
@@ -128,11 +128,22 @@ def test_cross_section_requires_aligned_dates():
     assert "B" in str(exc.value)
 
 
+def test_cross_section_with_every_window_skipped():
+    panel = toy_panel()
+    vals = panel.values.copy()
+    vals[::40, 1] = np.nan  # a hole in every window
+    broken = ReturnPanel(dates=panel.dates, tickers=panel.tickers, values=vals)
+    rep = run_pair(broken, "BASE", "A", PipelineConfig(window=100, step=10, grid_size=10))
+    assert len(rep.starts) == 0 and len(rep.skipped) == 21
+    with pytest.raises(DataError):
+        cross_section([rep])
+
+
 def test_table_statistic_values():
     panel = toy_panel()
     rep = run_pair(panel, "BASE", "A", CFG)
     cross = cross_section([rep])
-    series = [r.values["tdc"] for r in rep.records]
+    series = rep.value("tdc")
     block = cross["table"]["tdc"]
     assert block["Mean"]["Mean"] == pytest.approx(np.mean(series))
     assert block["Maximum"]["Median"] == pytest.approx(max(series))
