@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from . import measures as meas
 from .envelope import linf_range_given_tdc, measure_range
-from .errors import TailDepError
+from .errors import ConfigError, DataError, TailDepError
 from .estimator import EstimatorConfig, rolling_estimate
 from .order import compare
 from .panel import LONG, WIDE, ReturnPanel, load_prices, log_returns, summary_stats
@@ -113,7 +113,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_tdf(path: str) -> TailDependenceFunction:
-    return TailDependenceFunction.from_json(Path(path).read_text(encoding="utf-8"))
+    try:
+        return TailDependenceFunction.from_json(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise DataError(f"cannot read curve file {path}: {exc.strerror}") from None
+    except KeyError as exc:
+        raise DataError(f"curve file {path}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"curve file {path}: {exc}") from None
 
 
 def _write_returns_csv(panel: ReturnPanel, path: str) -> None:
@@ -186,7 +193,10 @@ def _cmd_envelope(args) -> None:
         return
     pins = [(0.5, args.tdc / 2.0)]
     if args.measure.startswith("point:"):
-        measure, s0 = "point_eval", float(args.measure.split(":", 1)[1])
+        try:
+            measure, s0 = "point_eval", float(args.measure.split(":", 1)[1])
+        except ValueError:
+            raise ConfigError(f"--measure {args.measure!r} needs a number after 'point:'") from None
     else:
         try:
             measure, s0 = _ENVELOPE_MEASURES[args.measure], None

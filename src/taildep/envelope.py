@@ -2,25 +2,29 @@
 
 The admissible functions on an m-grid form a polytope: zero endpoints, the
 pointwise bounds 0 <= L_i <= min(s_i, 1 - s_i), concavity as second
-differences <= 0, and any pinned values as equalities.  Measure ranges over
-that polytope are exact linear programs; ``linf_range_given_tdc`` is the
-closed form for the sup-measure when the only pin is the midpoint (i.e. the
-coefficient is known), and the test suite verifies the two routes against
-each other.  Grid ranges inherit a +-2/grid_size resolution, reported on the
-result.
+differences <= 0, and any pinned values as equalities.  The anchors (pins plus
+zero endpoints) fix its envelopes: their interpolant is the pointwise smallest
+member, and the Frechet bound clipped by the extended chords of neighbouring
+anchor intervals is the pointwise largest value.  Every minimum and the
+``max_td`` and ``point_eval`` maxima are closed forms; only the ``avg_td``
+maximum and ``random_feasible`` solve linear programs.  ``linf_range_given_tdc``
+is the continuous closed form for the sup-measure given the coefficient.  Grid
+ranges inherit a +-2/grid_size resolution, reported on the result.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError, ParameterError
+from .errors import InfeasibleError, ParameterError, SolverError
 from .lp import SimplexSolver
 from .measures import RAW, scale_factor
 from .rng import SplitMix64
-from .tdf import DEFAULT_GRID_SIZE, TailDependenceFunction, ValidationReport, from_grid
+from .tdf import CONCAVITY_TOL, DEFAULT_GRID_SIZE, TailDependenceFunction, ValidationReport
+from .tdf import from_grid, upper_bound
 
 MAX_TD = "max_td"
 AVG_TD = "avg_td"
@@ -58,6 +62,7 @@ class EnvelopeResult:
     argmin: TailDependenceFunction
     argmax: TailDependenceFunction
     resolution: float
+    lp_iterations: int = 0  # simplex iterations spent; 0 when both ends are closed forms
 
     def to_dict(self) -> dict:
         return {
@@ -74,6 +79,8 @@ class EnvelopeResult:
 
 
 def _grid_index(s: float, m: int) -> int:
+    if not math.isfinite(s):
+        raise ParameterError(f"location {s} is not a finite grid point")
     idx = s * m
     i = int(round(idx))
     if abs(idx - i) > 1e-9 or not 0 <= i <= m:
@@ -82,6 +89,8 @@ def _grid_index(s: float, m: int) -> int:
 
 
 def _pin_indices(pins, m: int) -> list[tuple[int, float]]:
+    if m < 2:
+        raise ParameterError("grid_size must be >= 2")
     out = []
     seen = set()
     for s, value in pins:
@@ -101,30 +110,66 @@ def _pin_indices(pins, m: int) -> list[tuple[int, float]]:
 def feasible_polytope(pins=(), grid_size: int = DEFAULT_GRID_SIZE) -> FeasiblePolytope:
     """Assemble the constraint system for the admissible class with pins."""
     m = grid_size
-    if m < 2:
-        raise ParameterError("grid_size must be >= 2")
-    s = np.arange(m + 1) / m
+    pin_indices = _pin_indices(pins, m)
     lower = np.zeros(m + 1)
-    upper = np.minimum(s, 1.0 - s)
-    for i, value in _pin_indices(pins, m):
+    upper = upper_bound(m)
+    for i, value in pin_indices:
         lower[i] = upper[i] = value
 
-    A = np.zeros((m - 1, m + 1))
-    rows = np.arange(m - 1)
-    A[rows, rows] = 1.0
-    A[rows, rows + 1] = -2.0
-    A[rows, rows + 2] = 1.0
+    A = np.diff(np.eye(m + 1), n=2, axis=0)  # rows of second differences
     return FeasiblePolytope(m, A, np.zeros(m - 1), lower, upper, tuple((float(a), float(b)) for a, b in pins))
 
 
 def _as_tdf(x: np.ndarray, m: int) -> TailDependenceFunction:
-    s = np.arange(m + 1) / m
-    cleaned = np.clip(x, 0.0, np.minimum(s, 1.0 - s))
-    out = from_grid(cleaned, enforce_concavity=True)
-    if isinstance(out, ValidationReport):  # pragma: no cover - vertices are concave
+    out = from_grid(np.clip(x, 0.0, upper_bound(m)), enforce_concavity=True)
+    if isinstance(out, ValidationReport):
         worst = out.worst()
-        raise RuntimeError(f"LP vertex failed validation: {worst}")
+        raise SolverError(f"curve failed validation: {worst}")
     return out
+
+
+def _anchors(pins, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Grid indices and values of the pins plus the zero endpoints; InfeasibleError
+    unless the slope between anchors rises by at most ``from_grid``'s concavity
+    tolerance per grid step."""
+    points = {0: 0.0, m: 0.0}
+    points.update(_pin_indices(pins, m))
+    idx = np.array(sorted(points))
+    val = np.array([points[i] for i in idx])
+    rise = np.diff(np.diff(val) / np.diff(idx))
+    if rise.size and rise.max() > CONCAVITY_TOL:
+        k = int(np.argmax(rise))
+        raise InfeasibleError(
+            f"pins are not jointly concave: the slope rises by {rise[k]:.3e} "
+            f"per grid step at s = {idx[k + 1] / m:.6g}"
+        )
+    return idx, val
+
+
+def _upper_envelope(idx: np.ndarray, val: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """Pointwise largest admissible value at each grid point.
+
+    Between anchors k and k + 1 an admissible curve lies under min(s, 1 - s) and
+    under the chords of the intervals before and after, extended; the tent
+    through the anchors and that point attains the bound.  Clamping at the
+    interpolant ``lower`` keeps that tent concave when the anchors are concave
+    only within tolerance.
+    """
+    i = np.arange(lower.size)
+    k = np.minimum(np.searchsorted(idx, i, side="right") - 1, idx.size - 2)
+    slope = np.concatenate([[np.inf], np.diff(val) / np.diff(idx), [-np.inf]])
+    with np.errstate(invalid="ignore"):  # inf * 0 at the end anchors; fmin skips the NaN
+        left = val[k] + slope[k] * (i - idx[k])
+        right = val[k + 1] - slope[k + 2] * (idx[k + 1] - i)
+    return np.fmax(lower, np.fmin(upper_bound(lower.size - 1), np.fmin(left, right)))
+
+
+def _tent(idx: np.ndarray, val: np.ndarray, i: int, value: float, lower: np.ndarray) -> np.ndarray:
+    """Interpolant of the anchors plus the point (i, value)."""
+    if np.any(idx == i):
+        return lower
+    j = int(np.searchsorted(idx, i))
+    return np.interp(np.arange(lower.size), np.insert(idx, j, i), np.insert(val, j, value))
 
 
 def measure_range(
@@ -136,87 +181,39 @@ def measure_range(
 ) -> EnvelopeResult:
     """Exact min and max of a measure over the pinned admissible polytope.
 
-    ``max_td`` maximization decomposes into one LP per grid coordinate (the
-    solver's basis is reused across the sweep); its minimization introduces an
-    epigraph variable.  ``avg_td`` and ``point_eval`` are single LPs each way.
+    Closed forms: every minimum is the measure of the anchor interpolant, which
+    is also the argmin; the ``max_td`` and ``point_eval`` maxima are read off
+    the upper envelope, attained by the tent through the anchors and the
+    maximising grid point.  The ``avg_td`` maximum is one simplex solve.
     """
-    poly = feasible_polytope(pins, grid_size)
-    m = poly.grid_size
+    m = grid_size
     scale = scale_factor(normalization)
-    if measure == POINT_EVAL:
-        if normalization != RAW:
-            raise ParameterError("point_eval has no doubled form")
-        if s0 is None:
-            raise ParameterError("point_eval needs s0")
-
-    if measure == AVG_TD or measure == POINT_EVAL:
-        if measure == AVG_TD:
-            c = np.full(m + 1, 1.0 / m)
-            c[0] = c[-1] = 0.5 / m
-        else:
-            c = np.zeros(m + 1)
-            c[_grid_index(s0, m)] = 1.0
-        solver = SimplexSolver(poly.A, poly.b, poly.lower, poly.upper)
-        hi = solver.solve(c)
-        lo = solver.solve(-c)
-        min_value, max_value = -lo.value, hi.value
-        argmin, argmax = _as_tdf(lo.x, m), _as_tdf(hi.x, m)
-    elif measure == MAX_TD:
-        solver = SimplexSolver(poly.A, poly.b, poly.lower, poly.upper)
-        best_value, best_x = 0.0, np.zeros(m + 1)
-        for i, value in _pin_indices(pins, m):
-            if value > best_value:
-                best_value, best_x = value, None
-        for i in range(1, m):
-            if poly.upper[i] <= best_value:  # cannot beat the incumbent
-                continue
-            c = np.zeros(m + 1)
-            c[i] = 1.0
-            sol = solver.solve(c)
-            if sol.value > best_value:
-                best_value, best_x = sol.value, sol.x
-        if best_x is None:
-            # A pin is itself the global maximum; realize any feasible point.
-            c = np.zeros(m + 1)
-            best_x = solver.solve(c).x
-        max_value = best_value
-
-        lo_solver, t_col = _epigraph_solver(poly)
-        c = np.zeros(m + 2)
-        c[t_col] = -1.0
-        lo = lo_solver.solve(c)
-        min_value = -lo.value
-        argmin, argmax = _as_tdf(lo.x[: m + 1], m), _as_tdf(best_x, m)
-    else:
+    if measure not in (MAX_TD, AVG_TD, POINT_EVAL):
         raise ParameterError(f"unknown envelope measure {measure!r}")
+    if measure == POINT_EVAL and normalization != RAW:
+        raise ParameterError("point_eval has no doubled form")
+    if measure == POINT_EVAL and s0 is None:
+        raise ParameterError("point_eval needs s0")
+    idx, val = _anchors(pins, m)
+    lower = np.interp(np.arange(m + 1), idx, val)
+    iterations = 0
+    if measure == AVG_TD:
+        c = np.full(m + 1, 1.0 / m)
+        c[0] = c[-1] = 0.5 / m
+        poly = feasible_polytope(pins, m)
+        hi = SimplexSolver(poly.A, poly.b, poly.lower, poly.upper).solve(c)
+        min_value, max_value = float(c @ lower), hi.value
+        argmax, iterations = _as_tdf(hi.x, m), hi.iterations
+    else:
+        upper = _upper_envelope(idx, val, lower)
+        top = int(np.argmax(upper)) if measure == MAX_TD else _grid_index(s0, m)
+        min_value = float(lower.max() if measure == MAX_TD else lower[top])
+        max_value = float(upper[top])
+        argmax = _as_tdf(_tent(idx, val, top, max_value, lower), m)
 
-    return EnvelopeResult(
-        measure,
-        normalization,
-        m,
-        poly.pins,
-        scale * min_value,
-        scale * max_value,
-        argmin,
-        argmax,
-        resolution=2.0 / m,
-    )
-
-
-def _epigraph_solver(poly: FeasiblePolytope) -> tuple[SimplexSolver, int]:
-    """Constraints of ``poly`` plus t with L_i - t <= 0, for min-max problems."""
-    m = poly.grid_size
-    t_col = m + 1
-    A_top = np.hstack([poly.A, np.zeros((m - 1, 1))])
-    A_cap = np.zeros((m - 1, m + 2))
-    rows = np.arange(m - 1)
-    A_cap[rows, rows + 1] = 1.0
-    A_cap[rows, t_col] = -1.0
-    A = np.vstack([A_top, A_cap])
-    b = np.zeros(2 * (m - 1))
-    lower = np.concatenate([poly.lower, [0.0]])
-    upper = np.concatenate([poly.upper, [0.5]])
-    return SimplexSolver(A, b, lower, upper), t_col
+    return EnvelopeResult(measure, normalization, m, tuple((float(a), float(b)) for a, b in pins),
+                          scale * min_value, scale * max_value, _as_tdf(lower, m), argmax,
+                          resolution=2.0 / m, lp_iterations=iterations)
 
 
 def linf_range_given_tdc(lam: float, normalization: str = RAW) -> tuple[float, float]:
@@ -224,8 +221,8 @@ def linf_range_given_tdc(lam: float, normalization: str = RAW) -> tuple[float, f
 
     Raw scale: [lam/2, lam/(1+lam)].  The lower end is the peak of the least
     concave function through the midpoint pin; the upper end comes from the
-    chords joining the pin to the boundary zeros.  Verified against the LP
-    route in the acceptance tests before anything relies on it.
+    chords joining the pin to the boundary zeros.  The acceptance tests check
+    it against the grid envelopes of ``measure_range``.
     """
     if not 0.0 <= lam <= 1.0:
         raise ParameterError("tail dependence coefficient must lie in [0, 1]")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError, UnboundedError
+from .errors import InfeasibleError, SolverError, UnboundedError
 
 TOL_RC = 1e-9      # reduced-cost optimality tolerance
 TOL_PIV = 1e-10    # smallest acceptable pivot magnitude
@@ -184,12 +184,12 @@ class SimplexSolver:
             else:
                 degen_streak = 0
                 bland = False
-        raise RuntimeError("simplex iteration limit exceeded")
+        raise SolverError("simplex iteration limit exceeded")
 
     def _pivot(self, row: int, col: int):
         piv = self.T[row, col]
         if abs(piv) < TOL_PIV:
-            raise RuntimeError("numerically singular pivot")
+            raise SolverError("numerically singular pivot")
         self.T[row, :] /= piv
         self.tb[row] /= piv
         factor = self.T[:, col].copy()

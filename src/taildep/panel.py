@@ -73,7 +73,11 @@ def load_prices(path, fmt: str = WIDE) -> ReturnPanel:
     assembled then date-sorted; duplicate (date, ticker) cells are errors.
     Errors carry 1-based row numbers (header is row 1).
     """
-    with open(path, newline="", encoding="utf-8") as handle:
+    try:
+        handle = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot read prices file {path}: {exc.strerror}") from None
+    with handle:
         rows = csv.reader(handle)
         header = next(rows, None)
         if header is None:

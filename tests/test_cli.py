@@ -127,6 +127,42 @@ def test_envelope_lp_measure(capsys):
     assert doc["max"] == pytest.approx(0.1875, abs=1e-8)
 
 
+@pytest.mark.parametrize("measure", ["point:abc", "point:", "point:nan", "point:inf"])
+def test_envelope_unusable_point_exits_2(measure, capsys):
+    assert main(["envelope", "--tdc", "0.5", "--measure", measure, "--grid", "20"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_missing_input_files_exit_2(tmp_path, capsys):
+    curve, prices = tmp_path / "absent.json", tmp_path / "absent.csv"
+    for argv, path in (
+        (["measures", "--tdf", str(curve)], curve),
+        (["compare", "--first", str(curve), "--second", str(curve)], curve),
+        (["ingest", "--prices", str(prices), "--out", str(tmp_path / "r.csv")], prices),
+        (["report", "--prices", str(prices), "--base", "BASE",
+          "--out-dir", str(tmp_path / "run")], prices),
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+
+
+@pytest.mark.parametrize("text", [
+    '{"m": 2}',
+    '{"m": 2, ',
+    "[0.0, 0.0, 0.0]",
+    '{"m": "2", "values": [0.0, 0.0, 0.0], "kind": "validated"}',
+])
+def test_malformed_curve_json_exits_2(tmp_path, capsys, text):
+    f = tmp_path / "curve.json"
+    f.write_text(text)
+    assert main(["measures", "--tdf", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(f) in err
+
+
 def test_simulate_writes_uniform_pairs(tmp_path):
     out = tmp_path / "draws.csv"
     rc = main(["simulate", "--family", "clayton", "--theta", "2.0",

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from taildep.errors import InfeasibleError, UnboundedError
+import taildep.lp
+from taildep.errors import InfeasibleError, SolverError, TailDepError, UnboundedError
 from taildep.lp import SimplexSolver, solve_lp
 
 
@@ -110,3 +111,12 @@ def test_equality_via_tight_box():
                    [0.7, 0.0], [0.7, 1.0])
     assert sol.x[0] == pytest.approx(0.7)
     assert sol.value == pytest.approx(1.0)
+
+
+def test_singular_pivot_raises_solver_error(monkeypatch):
+    # phase 1 pivots the artificial in at magnitude 1, below this tolerance
+    monkeypatch.setattr(taildep.lp, "TOL_PIV", 10.0)
+    with pytest.raises(SolverError, match="singular pivot") as info:
+        solve_lp([-1.0], [[-1.0]], [-1.0], [0.0], [5.0])
+    assert isinstance(info.value, TailDepError)
+    assert isinstance(info.value, RuntimeError)
