@@ -11,8 +11,6 @@ __version__ = "0.1.0"
 
 from .envelope import (
     EnvelopeResult,
-    FeasiblePolytope,
-    feasible_polytope,
     linf_range_given_tdc,
     measure_range,
     random_feasible,

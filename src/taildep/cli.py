@@ -8,6 +8,7 @@ fresh directory are byte-identical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -248,15 +249,7 @@ def _cmd_report(args) -> None:
         "format": args.format,
         "base": args.base,
         "pairs": [[args.base, other] for other in others],
-        "config": {
-            "window": config.window,
-            "step": config.step,
-            "k": config.k,
-            "grid_size": config.grid_size,
-            "tail": config.tail,
-            "project": config.project,
-            "normalization": config.normalization,
-        },
+        "config": dataclasses.asdict(config),
         "windows_per_pair": {rep.other: len(rep.starts) for rep in reports},
         "skipped_windows": {rep.other: list(rep.skipped) for rep in reports},
     }

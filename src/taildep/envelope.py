@@ -1,15 +1,16 @@
 """Feasible ranges of measures over the admissible class, given pinned values.
 
-The admissible functions on an m-grid form a polytope: zero endpoints, the
-pointwise bounds 0 <= L_i <= min(s_i, 1 - s_i), concavity as second
-differences <= 0, and any pinned values as equalities.  The anchors (pins plus
-zero endpoints) fix its envelopes: their interpolant is the pointwise smallest
-member, and the Frechet bound clipped by the extended chords of neighbouring
-anchor intervals is the pointwise largest value.  Every minimum and the
-``max_td`` and ``point_eval`` maxima are closed forms; only the ``avg_td``
-maximum and ``random_feasible`` solve linear programs.  ``linf_range_given_tdc``
-is the continuous closed form for the sup-measure given the coefficient.  Grid
-ranges inherit a +-2/grid_size resolution, reported on the result.
+The admissible functions on an m-grid are concave, zero at both ends and
+bounded by min(s_i, 1 - s_i); pins fix some of their values.  The anchors (pins
+plus zero endpoints) fix the envelopes of this class: their interpolant is the
+pointwise smallest member, and the Frechet bound clipped by the extended chords
+of neighbouring anchor intervals is the pointwise largest value, attained by a
+tent (the interpolant of the anchors plus one point).  Every minimum, the
+``max_td`` and ``point_eval`` maxima and the mixtures of tents drawn by
+``random_feasible`` are closed forms; only the ``avg_td`` maximum solves a
+linear program.  ``linf_range_given_tdc`` is the continuous closed form for the
+sup-measure given the coefficient.  Grid ranges inherit a +-2/grid_size
+resolution, reported on the result.
 """
 
 from __future__ import annotations
@@ -31,22 +32,7 @@ AVG_TD = "avg_td"
 POINT_EVAL = "point_eval"
 
 PinPair = tuple[float, float]
-
-
-@dataclass(frozen=True)
-class FeasiblePolytope:
-    """Constraint system for admissible grid functions with pins applied.
-
-    Rows of ``A x <= b`` are the concavity constraints; bounds carry the
-    pointwise constraints, the zero endpoints, and the pins (as equalities).
-    """
-
-    grid_size: int
-    A: np.ndarray
-    b: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-    pins: tuple[PinPair, ...]
+N_MIX = 3  # tents mixed by one random_feasible draw
 
 
 @dataclass(frozen=True)
@@ -107,19 +93,6 @@ def _pin_indices(pins, m: int) -> list[tuple[int, float]]:
     return out
 
 
-def feasible_polytope(pins=(), grid_size: int = DEFAULT_GRID_SIZE) -> FeasiblePolytope:
-    """Assemble the constraint system for the admissible class with pins."""
-    m = grid_size
-    pin_indices = _pin_indices(pins, m)
-    lower = np.zeros(m + 1)
-    upper = upper_bound(m)
-    for i, value in pin_indices:
-        lower[i] = upper[i] = value
-
-    A = np.diff(np.eye(m + 1), n=2, axis=0)  # rows of second differences
-    return FeasiblePolytope(m, A, np.zeros(m - 1), lower, upper, tuple((float(a), float(b)) for a, b in pins))
-
-
 def _as_tdf(x: np.ndarray, m: int) -> TailDependenceFunction:
     out = from_grid(np.clip(x, 0.0, upper_bound(m)), enforce_concavity=True)
     if isinstance(out, ValidationReport):
@@ -128,10 +101,11 @@ def _as_tdf(x: np.ndarray, m: int) -> TailDependenceFunction:
     return out
 
 
-def _anchors(pins, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Grid indices and values of the pins plus the zero endpoints; InfeasibleError
-    unless the slope between anchors rises by at most ``from_grid``'s concavity
-    tolerance per grid step."""
+def _envelopes(pins, m: int):
+    """Anchors (pins plus zero endpoints) as grid indices and values, their
+    interpolant (the pointwise smallest admissible curve) and the upper
+    envelope.  InfeasibleError unless the slope between anchors rises by at
+    most ``from_grid``'s concavity tolerance per grid step."""
     points = {0: 0.0, m: 0.0}
     points.update(_pin_indices(pins, m))
     idx = np.array(sorted(points))
@@ -143,7 +117,8 @@ def _anchors(pins, m: int) -> tuple[np.ndarray, np.ndarray]:
             f"pins are not jointly concave: the slope rises by {rise[k]:.3e} "
             f"per grid step at s = {idx[k + 1] / m:.6g}"
         )
-    return idx, val
+    lower = np.interp(np.arange(m + 1), idx, val)
+    return idx, val, lower, _upper_envelope(idx, val, lower)
 
 
 def _upper_envelope(idx: np.ndarray, val: np.ndarray, lower: np.ndarray) -> np.ndarray:
@@ -194,18 +169,20 @@ def measure_range(
         raise ParameterError("point_eval has no doubled form")
     if measure == POINT_EVAL and s0 is None:
         raise ParameterError("point_eval needs s0")
-    idx, val = _anchors(pins, m)
-    lower = np.interp(np.arange(m + 1), idx, val)
+    idx, val, lower, upper = _envelopes(pins, m)
     iterations = 0
     if measure == AVG_TD:
         c = np.full(m + 1, 1.0 / m)
         c[0] = c[-1] = 0.5 / m
-        poly = feasible_polytope(pins, m)
-        hi = SimplexSolver(poly.A, poly.b, poly.lower, poly.upper).solve(c)
+        d2 = np.diff(np.eye(m + 1), n=2, axis=0)  # rows of second differences
+        x_lo, x_hi = np.zeros(m + 1), upper_bound(m)
+        x_lo[idx] = x_hi[idx] = val
+        # Concavity rows allow the slope rise the slope test tolerates at the
+        # anchors (none for concave ones), so the vertex keeps within it.
+        hi = SimplexSolver(d2, np.maximum(d2 @ lower, 0.0), x_lo, x_hi).solve(c)
         min_value, max_value = float(c @ lower), hi.value
         argmax, iterations = _as_tdf(hi.x, m), hi.iterations
     else:
-        upper = _upper_envelope(idx, val, lower)
         top = int(np.argmax(upper)) if measure == MAX_TD else _grid_index(s0, m)
         min_value = float(lower.max() if measure == MAX_TD else lower[top])
         max_value = float(upper[top])
@@ -216,15 +193,16 @@ def measure_range(
                           resolution=2.0 / m, lp_iterations=iterations)
 
 
-def linf_range_given_tdc(lam: float, normalization: str = RAW) -> tuple[float, float]:
+def linf_range_given_tdc(lam, normalization: str = RAW) -> tuple:
     """Closed-form sup-measure range when only the coefficient is known.
 
     Raw scale: [lam/2, lam/(1+lam)].  The lower end is the peak of the least
     concave function through the midpoint pin; the upper end comes from the
     chords joining the pin to the boundary zeros.  The acceptance tests check
-    it against the grid envelopes of ``measure_range``.
+    it against the grid envelopes of ``measure_range``.  ``lam`` may be an
+    array, giving arrays of lower and upper ends.
     """
-    if not 0.0 <= lam <= 1.0:
+    if not np.all((lam >= 0.0) & (lam <= 1.0)):
         raise ParameterError("tail dependence coefficient must lie in [0, 1]")
     scale = scale_factor(normalization)
     return scale * lam / 2.0, scale * lam / (1.0 + lam)
@@ -234,24 +212,21 @@ def random_feasible(
     pins=(),
     grid_size: int = DEFAULT_GRID_SIZE,
     seed: int = 0,
-    n_mix: int = 3,
 ) -> TailDependenceFunction:
-    """Random point of the pinned polytope: a convex mixture of LP vertices.
+    """Random admissible curve through the pins: a convex mixture of tents.
 
-    Vertices come from maximizing seeded random objectives, so the draw is
-    deterministic in (pins, grid_size, seed) and satisfies every pin exactly.
+    Each tent is the interpolant of the anchors plus one point, taken at a
+    seeded grid index and uniformly between the two envelopes there; every
+    tent is admissible, and so is their mixture.  The draw is deterministic in
+    (pins, grid_size, seed) and meets every pin exactly.
     """
-    if n_mix < 1:
-        raise ParameterError("n_mix must be >= 1")
-    poly = feasible_polytope(pins, grid_size)
-    solver = SimplexSolver(poly.A, poly.b, poly.lower, poly.upper)
+    m = grid_size
+    idx, val, lower, upper = _envelopes(pins, m)
     rng = SplitMix64(seed)
-    m = poly.grid_size
-    vertices = []
-    for _ in range(n_mix):
-        c = np.array([2.0 * rng.uniform() - 1.0 for _ in range(m + 1)])
-        vertices.append(solver.solve(c).x)
-    weights = np.array([rng.uniform() for _ in range(n_mix)])
+    tents = []
+    for _ in range(N_MIX):
+        i = rng.next_u64() % (m + 1)
+        tents.append(_tent(idx, val, i, lower[i] + rng.uniform() * (upper[i] - lower[i]), lower))
+    weights = np.array([rng.uniform() for _ in range(N_MIX)])
     weights /= weights.sum()
-    mix = np.einsum("i,ij->j", weights, np.asarray(vertices))
-    return _as_tdf(mix, m)
+    return _as_tdf(weights @ np.array(tents), m)

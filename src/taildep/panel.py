@@ -79,13 +79,16 @@ def load_prices(path, fmt: str = WIDE) -> ReturnPanel:
         raise DataError(f"cannot read prices file {path}: {exc.strerror}") from None
     with handle:
         rows = csv.reader(handle)
-        header = next(rows, None)
-        if header is None:
-            raise DataError("empty CSV file")
-        if fmt == WIDE:
-            return _load_wide(header, rows)
-        if fmt == LONG:
-            return _load_long(header, rows)
+        try:
+            header = next(rows, None)
+            if header is None:
+                raise DataError("empty CSV file")
+            if fmt == WIDE:
+                return _load_wide(header, rows)
+            if fmt == LONG:
+                return _load_long(header, rows)
+        except UnicodeDecodeError as exc:
+            raise DataError(f"prices file {path} is not UTF-8 text: {exc.reason}") from None
     raise DataError(f"format must be {WIDE!r} or {LONG!r}")
 
 
@@ -202,6 +205,18 @@ def series_stats_rows(values: np.ndarray) -> np.ndarray:
     ])
 
 
+def aggregate(values: np.ndarray) -> dict[str, float]:
+    """The CROSS_AGGS of one statistic across series, in that order."""
+    return dict(zip(CROSS_AGGS, (
+        _quantile(values, 0.05),
+        _quantile(values, 0.10),
+        float(np.mean(values)),
+        float(np.median(values)),
+        _quantile(values, 0.90),
+        _quantile(values, 0.95),
+    )))
+
+
 def summary_stats(panel: ReturnPanel) -> dict:
     """Per-series statistics plus their cross-sectional aggregation.
 
@@ -209,15 +224,6 @@ def summary_stats(panel: ReturnPanel) -> dict:
     {stat: {agg: value}}}; aggregations run over tickers for each statistic.
     """
     per_series = {t: _series_stats(panel.column(t)) for t in panel.tickers}
-    cross = {}
-    for stat in SERIES_STATS:
-        pooled = np.array([per_series[t][stat] for t in panel.tickers])
-        cross[stat] = {
-            "q05": _quantile(pooled, 0.05),
-            "q10": _quantile(pooled, 0.10),
-            "mean": float(np.mean(pooled)),
-            "median": float(np.median(pooled)),
-            "q90": _quantile(pooled, 0.90),
-            "q95": _quantile(pooled, 0.95),
-        }
+    cross = {stat: aggregate(np.array([per_series[t][stat] for t in panel.tickers]))
+             for stat in SERIES_STATS}
     return {"per_series": per_series, "cross_section": cross}

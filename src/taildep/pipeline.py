@@ -25,21 +25,22 @@ from pathlib import Path
 import numpy as np
 
 from . import measures as meas
-from .errors import DataError, ParameterError
+from .envelope import linf_range_given_tdc
+from .errors import DataError
 from .estimator import EstimatorConfig, rolling_estimate, window_starts
 from .measures import DOUBLED
-from .panel import ReturnPanel, _quantile, series_stats_rows
+from .panel import ReturnPanel, aggregate, series_stats_rows
 from .tdf import TailDependenceFunction, TDFKind, least_concave_majorant_rows
 
-# The one-window forms of the batched steps stay importable here, where
-# perfbench/tracing.py wraps them.
-from .envelope import linf_range_given_tdc  # noqa: F401
+# The one-window projection stays importable here, where perfbench/tracing.py
+# wraps it.
 from .tdf import least_concave_majorant  # noqa: F401
 
 DEFAULT_MEASURES = ("tdc", "l1", "linf", "spearman_ev", "extremal_dep")
 CROSS_STATS = ("mean", "median", "st_dev", "minimum", "maximum", "q05", "q95")
 TABLE_STATS = ("Mean", "Median", "St. dev.", "Minimum", "Maximum", "5%-quantile", "95%-quantile")
 _TABLE_KEY = dict(zip(TABLE_STATS, CROSS_STATS))
+TABLE_AGGS = ("5%", "10%", "Mean", "Median", "90%", "95%")  # labels of panel.CROSS_AGGS
 
 
 @dataclass(frozen=True)
@@ -114,7 +115,8 @@ def run_pairs(
         least_concave_majorant_rows(curves)
     curves.setflags(write=False)
     values = meas.measure_rows(curves, names, config.normalization)
-    bands = _linf_bands(meas.measure_rows(curves, ("tdc",))[:, 0], config.normalization)
+    bands = np.column_stack(linf_range_given_tdc(meas.measure_rows(curves, ("tdc",))[:, 0],
+                                                 config.normalization))
     reports = []
     for j, other in enumerate(others):
         rows = slice(offsets[j], offsets[j + 1])
@@ -148,14 +150,6 @@ def run_pair(
     return run_pairs(panel, base, (other,), config, measure_names)[0]
 
 
-def _linf_bands(lam: np.ndarray, normalization: str) -> np.ndarray:
-    """``linf_range_given_tdc`` of each coefficient, as (lower, upper) rows."""
-    if not np.all((lam >= 0.0) & (lam <= 1.0)):
-        raise ParameterError("tail dependence coefficient must lie in [0, 1]")
-    scale = meas.scale_factor(normalization)
-    return np.column_stack([scale * lam / 2.0, scale * lam / (1.0 + lam)])
-
-
 def cross_section(reports: list[PairReport]) -> dict:
     """Aggregate pair reports across pairs.
 
@@ -183,14 +177,7 @@ def cross_section(reports: list[PairReport]) -> dict:
         table[name] = {}
         for label, key in _TABLE_KEY.items():
             series_stat = np.ascontiguousarray(series[:, CROSS_STATS.index(key)])
-            table[name][label] = {
-                "5%": _quantile(series_stat, 0.05),
-                "10%": _quantile(series_stat, 0.10),
-                "Mean": float(np.mean(series_stat)),
-                "Median": float(np.median(series_stat)),
-                "90%": _quantile(series_stat, 0.90),
-                "95%": _quantile(series_stat, 0.95),
-            }
+            table[name][label] = dict(zip(TABLE_AGGS, aggregate(series_stat).values()))
     return {"dates": list(dates), "per_date": per_date, "table": table}
 
 

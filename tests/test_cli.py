@@ -3,10 +3,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import taildep
 from taildep.cli import main
 from taildep.tdf import clayton
 
@@ -147,6 +152,27 @@ def test_missing_input_files_exit_2(tmp_path, capsys):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(path) in err
+
+
+def test_non_utf8_prices_exit_2(tmp_path, capsys):
+    prices = tmp_path / "prices.csv"
+    prices.write_bytes(PRICES.encode().replace(b"101.0", b"10\xff.0"))
+    for argv in (["ingest", "--prices", str(prices), "--out", str(tmp_path / "r.csv")],
+                 ["report", "--prices", str(prices), "--base", "BASE",
+                  "--out-dir", str(tmp_path / "run")]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(prices) in err and "UTF-8" in err
+
+
+def test_package_import_loads_no_test_dependency():
+    # scipy and hypothesis are test dependencies only; the CLI must not load them.
+    code = ("import sys, taildep, taildep.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'hypothesis')))")
+    env = {**os.environ, "PYTHONPATH": str(Path(taildep.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("text", [

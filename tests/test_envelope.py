@@ -5,7 +5,6 @@ import pytest
 
 from taildep.envelope import (
     EnvelopeResult,
-    feasible_polytope,
     linf_range_given_tdc,
     measure_range,
     random_feasible,
@@ -15,20 +14,15 @@ from taildep.measures import average_tail_dependence, max_tail_dependence, tdc
 from taildep.tdf import TailDependenceFunction
 
 
-def test_polytope_dimensions():
-    poly = feasible_polytope([(0.5, 0.2)], grid_size=10)
-    assert poly.A.shape == (9, 11)  # one concavity row per interior point
-    assert poly.lower[5] == poly.upper[5] == 0.2
-    assert poly.upper[0] == 0.0 and poly.upper[10] == 0.0
-
-
 def test_pin_must_sit_inside_bound():
-    with pytest.raises(InfeasibleError):
-        feasible_polytope([(0.5, 0.7)], grid_size=10)
-    with pytest.raises(ParameterError):
-        feasible_polytope([(0.5, 0.1), (0.5, 0.2)], grid_size=10)
-    with pytest.raises(ParameterError):
-        feasible_polytope([(0.503, 0.1)], grid_size=10)  # off the grid
+    for build in (lambda pins: measure_range(pins, "max_td", grid_size=10),
+                  lambda pins: random_feasible(pins, grid_size=10)):
+        with pytest.raises(InfeasibleError):
+            build([(0.5, 0.7)])
+        with pytest.raises(ParameterError):
+            build([(0.5, 0.1), (0.5, 0.2)])
+        with pytest.raises(ParameterError):
+            build([(0.503, 0.1)])  # off the grid
 
 
 def test_max_range_under_midpoint_pin():

@@ -3,7 +3,7 @@
 scipy.optimize.linprog (HiGHS) solves the pinned polytope, built in this file
 without envelope code: one LP per grid coordinate for the ``max_td`` maximum,
 an epigraph LP for its minimum, and one LP each way for ``avg_td`` and
-``point_eval``.
+``point_eval``.  ``random_feasible`` draws are checked against the envelopes.
 """
 
 import numpy as np
@@ -12,11 +12,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from taildep.envelope import feasible_polytope, measure_range
+from taildep.envelope import measure_range, random_feasible
 from taildep.errors import InfeasibleError
 from taildep.lp import SimplexSolver
 from taildep.measures import average_tail_dependence, max_tail_dependence, point_eval
-from taildep.tdf import CONCAVITY_TOL
+from taildep.tdf import CONCAVITY_TOL, TDFKind
 
 TOL = 1e-12
 INFEASIBLE = 2  # linprog status
@@ -144,6 +144,21 @@ def test_infeasible_exactly_when_highs_says_so(case):
         assert abs(res.max_value - expected[1]) <= TOL
 
 
+@ORACLE_SETTINGS
+@given(case=pin_sets(), seed=st.integers(0, 2**64 - 1))
+def test_random_feasible_lies_between_the_envelopes(case, seed):
+    m, pins, _ = case
+    f = random_feasible(pins, grid_size=m, seed=seed)
+    assert f.kind is TDFKind.VALIDATED
+    for s, v in pins:
+        assert abs(f.values[round(s * m)] - v) <= TOL
+    lower = measure_range(pins, "max_td", grid_size=m).argmin.values
+    upper = [measure_range(pins, "point_eval", grid_size=m, s0=i / m).max_value
+             for i in range(m + 1)]
+    assert np.all(lower - TOL <= f.values) and np.all(f.values <= np.add(upper, TOL))
+    assert np.array_equal(random_feasible(pins, grid_size=m, seed=seed).values, f.values)
+
+
 def kinked_pins(m, i1, i2, rise):
     """Pins at i1 < i2 whose slope rises by ``rise`` per grid step at i1."""
     slope = 0.1 / m
@@ -152,9 +167,10 @@ def kinked_pins(m, i1, i2, rise):
 
 
 def simplex_accepts(pins, m):
-    poly = feasible_polytope(pins, m)
+    A, bounds = oracle_lp(m, pins)
+    lower, upper = np.array(bounds).T
     try:
-        SimplexSolver(poly.A, poly.b, poly.lower, poly.upper).solve(np.zeros(m + 1))
+        SimplexSolver(A, np.zeros(m - 1), lower, upper).solve(np.zeros(m + 1))
     except InfeasibleError:
         return False
     return True
@@ -171,17 +187,25 @@ def test_concavity_tolerance_near_the_edge(m, i1, i2):
     for i0 in (i1 - 1, i1 + 1, (i1 + i2) // 2, i2 - 1):
         res = measure_range(pins, "point_eval", grid_size=m, s0=i0 / m)
         assert res.min_value <= res.max_value
+    res = measure_range(pins, "avg_td", grid_size=m)
+    assert res.argmax.kind is TDFKind.VALIDATED and res.min_value <= res.max_value
+    for seed in range(20):
+        assert random_feasible(pins, grid_size=m, seed=seed).kind is TDFKind.VALIDATED
     # Well past the phase-1 residual (1e-8) both reject.
     pins = kinked_pins(m, i1, i2, 2e-8)
     assert not simplex_accepts(pins, m)
-    with pytest.raises(InfeasibleError, match="not jointly concave"):
-        measure_range(pins, "max_td", grid_size=m)
+    for build in (lambda: measure_range(pins, "max_td", grid_size=m),
+                  lambda: random_feasible(pins, grid_size=m)):
+        with pytest.raises(InfeasibleError, match="not jointly concave"):
+            build()
     # In between, phase 1 accepts but no curve through the pins passes the
     # grid's concavity check, so the slope test rejects.
     pins = kinked_pins(m, i1, i2, 5e-9)
     assert simplex_accepts(pins, m)
-    with pytest.raises(InfeasibleError, match="not jointly concave"):
-        measure_range(pins, "avg_td", grid_size=m)
+    for build in (lambda: measure_range(pins, "avg_td", grid_size=m),
+                  lambda: random_feasible(pins, grid_size=m)):
+        with pytest.raises(InfeasibleError, match="not jointly concave"):
+            build()
 
 
 def test_lp_iterations_count_only_the_avg_td_maximum():
