@@ -7,8 +7,9 @@ pointwise smallest member, and the Frechet bound clipped by the extended chords
 of neighbouring anchor intervals is the pointwise largest value, attained by a
 tent (the interpolant of the anchors plus one point).  Every minimum, the
 ``max_td`` and ``point_eval`` maxima and the mixtures of tents drawn by
-``random_feasible`` are closed forms; only the ``avg_td`` maximum solves a
-linear program.  ``linf_range_given_tdc`` is the continuous closed form for the
+``random_feasible`` are closed forms.  The ``avg_td`` maximum is a cutting
+plane over one slope per interior pin, whose small master LP runs on the
+in-repo simplex.  ``linf_range_given_tdc`` is the continuous closed form for the
 sup-measure given the coefficient.  Grid ranges inherit a +-2/grid_size
 resolution, reported on the result.
 """
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError, ParameterError, SolverError
-from .lp import SimplexSolver
+from .lp import TOL_RC, SimplexSolver
 from .measures import RAW, scale_factor
 from .rng import SplitMix64
 from .tdf import CONCAVITY_TOL, DEFAULT_GRID_SIZE, TailDependenceFunction, ValidationReport
@@ -33,6 +34,8 @@ POINT_EVAL = "point_eval"
 
 PinPair = tuple[float, float]
 N_MIX = 3  # tents mixed by one random_feasible draw
+MAX_ROUNDS = 30  # cutting-plane rounds of the avg_td maximum before SolverError
+GAP_TOL = 1e-13  # master bound minus best curve value at which the maximum is exact
 
 
 @dataclass(frozen=True)
@@ -147,6 +150,82 @@ def _tent(idx: np.ndarray, val: np.ndarray, i: int, value: float, lower: np.ndar
     return np.interp(np.arange(lower.size), np.insert(idx, j, i), np.insert(val, j, value))
 
 
+def _weighted_sum_max(idx: np.ndarray, val: np.ndarray, upper: np.ndarray, w: np.ndarray):
+    """Maximum of ``w @ x`` (w >= 0) over admissible curves through the
+    anchors, a curve attaining it, and the simplex iterations spent.
+
+    A concave curve lies under its supporting line at each interior anchor j,
+    whose slope t_j lies between the chords on either side.  Given the slopes,
+    the best curve on anchor interval k is min(F, line of anchor k, line of
+    anchor k + 1), with F the Frechet bound, and its weighted sum B_k over the
+    interval is concave and piecewise linear in (t_k, t_{k+1}).  Kelley's
+    cutting-plane method maximises sum_k B_k: a master LP with one epigraph
+    variable per interval, at most the interval's sum under the upper
+    envelope, gains each round the active affine piece of B_k wherever it
+    overestimates B_k.  There are finitely many pieces, so the master bound
+    meets the best curve found at the exact maximum.
+    """
+    m = w.size - 1
+    p = idx.size - 2  # interior anchors, one slope each (per unit s)
+    chord = np.diff(val) / np.diff(idx) * m
+    # t_j lies in [min(s_j, s_{j-1}), s_{j-1}]; right of the anchor the line
+    # rises by the slope rise the slope test tolerates, so near-tolerance
+    # anchors keep both sides on their chords.
+    t_lo, t_hi = np.minimum(chord[1:], chord[:-1]), chord[:-1]
+    rise = np.maximum(chord[1:] - chord[:-1], 0.0)
+    i = np.setdiff1d(np.arange(m + 1), idx)  # grid points strictly inside an interval
+    k = np.searchsorted(idx, i) - 1
+    dl, dr = (i - idx[k]) / m, (i - idx[k + 1]) / m  # offsets from both anchors
+    wi, bound = w[i], upper_bound(m)[i]
+    const = np.stack([bound, val[k] + np.concatenate([[0.0], rise])[k] * dl, val[k + 1]])
+    n = p + 1  # interval k runs from anchor k to k + 1; anchor j's slope is column j - 1
+    rows = np.arange(n)
+    lo = np.concatenate([t_lo, np.zeros(n)])
+    hi = np.concatenate([t_hi, np.bincount(k, wi * upper[i], minlength=n)])
+    obj = np.concatenate([np.zeros(p), np.ones(n)])
+    scale = np.where(hi > lo, hi - lo, 1.0)
+    x = np.zeros(m + 1)
+    x[idx] = val
+    anchored = float(w[idx] @ val)
+
+    # Mid-range slopes first, against the upper envelope as the first estimate.
+    t, eta = 0.5 * (t_lo + t_hi), hi[p:]
+    cut_rows, cut_rhs = [], []
+    best, argmax, iterations = -np.inf, x, 0
+    for _ in range(MAX_ROUNDS):
+        # Interval 0 has no left line and interval p no right line.
+        left = const[1] + np.concatenate([[np.inf], t])[k] * dl
+        right = const[2] + np.concatenate([t, [-np.inf]])[k] * dr
+        active = np.argmin(np.stack([bound, left, right]), axis=0)
+        x[i] = np.choose(active, (bound, left, right))
+        value = float(w @ x)
+        if value > best:
+            best, argmax = value, x.copy()
+        if float(eta.sum()) + anchored - best <= GAP_TOL:
+            return best, argmax, iterations
+        part = np.bincount(k, wi * x[i], minlength=n)
+        # The active pieces summed per interval: eta_k <= const + weights . slopes.
+        cut = np.zeros((n, p + n))
+        cut[rows, p + rows] = 1.0
+        cut[rows[1:], rows[:-1]] = -np.bincount(k, wi * dl * (active == 1), minlength=n)[1:]
+        cut[rows[:-1], rows[:-1]] = -np.bincount(k, wi * dr * (active == 2), minlength=n)[:-1]
+        rhs = np.bincount(k, wi * np.choose(active, const), minlength=n)
+        new = eta > part
+        cut_rows.append(cut[new])
+        cut_rhs.append(rhs[new])
+        a, b = np.vstack(cut_rows), np.concatenate(cut_rhs)
+        # The simplex's tolerances are absolute, so it sees every variable
+        # over [0, 1], every row with a unit epigraph coefficient, and an
+        # objective in which its reduced-cost tolerance is worth GAP_TOL.
+        az = a * scale
+        row = az[:, p:].max(axis=1)
+        sol = SimplexSolver(az / row[:, None], (b - a @ lo) / row, np.zeros(p + n),
+                            (hi - lo) / scale).solve(obj * scale * (TOL_RC / GAP_TOL))
+        iterations += sol.iterations
+        t, eta = t_lo + scale[:p] * sol.x[:p], scale[p:] * sol.x[p:]
+    raise SolverError(f"avg_td maximum did not converge in {MAX_ROUNDS} cutting-plane rounds")
+
+
 def measure_range(
     pins=(),
     measure: str = MAX_TD,
@@ -159,7 +238,9 @@ def measure_range(
     Closed forms: every minimum is the measure of the anchor interpolant, which
     is also the argmin; the ``max_td`` and ``point_eval`` maxima are read off
     the upper envelope, attained by the tent through the anchors and the
-    maximising grid point.  The ``avg_td`` maximum is one simplex solve.
+    maximising grid point.  The ``avg_td`` maximum optimises one supporting
+    slope per interior pin by an exact cutting plane (``_weighted_sum_max``);
+    ``lp_iterations`` sums the simplex iterations of its master LPs.
     """
     m = grid_size
     scale = scale_factor(normalization)
@@ -174,14 +255,9 @@ def measure_range(
     if measure == AVG_TD:
         c = np.full(m + 1, 1.0 / m)
         c[0] = c[-1] = 0.5 / m
-        d2 = np.diff(np.eye(m + 1), n=2, axis=0)  # rows of second differences
-        x_lo, x_hi = np.zeros(m + 1), upper_bound(m)
-        x_lo[idx] = x_hi[idx] = val
-        # Concavity rows allow the slope rise the slope test tolerates at the
-        # anchors (none for concave ones), so the vertex keeps within it.
-        hi = SimplexSolver(d2, np.maximum(d2 @ lower, 0.0), x_lo, x_hi).solve(c)
-        min_value, max_value = float(c @ lower), hi.value
-        argmax, iterations = _as_tdf(hi.x, m), hi.iterations
+        min_value = float(c @ lower)
+        max_value, x, iterations = _weighted_sum_max(idx, val, upper, c)
+        argmax = _as_tdf(x, m)
     else:
         top = int(np.argmax(upper)) if measure == MAX_TD else _grid_index(s0, m)
         min_value = float(lower.max() if measure == MAX_TD else lower[top])

@@ -1,5 +1,7 @@
 """Dense bounded-variable simplex, kept in-repo so the envelope code has no
-external solver dependency.
+external solver dependency.  It solves the master LPs of the cutting plane
+behind the ``avg_td`` maximum in ``taildep.envelope``: a few epigraph and
+slope variables per interior pin, not one variable per grid point.
 
 Solves   max c.x   subject to   A x <= b,  lower <= x <= upper.
 

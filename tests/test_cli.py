@@ -132,6 +132,19 @@ def test_envelope_lp_measure(capsys):
     assert doc["max"] == pytest.approx(0.1875, abs=1e-8)
 
 
+@pytest.mark.parametrize("lam", [0.0, 0.3, 0.77, 1.0])
+def test_envelope_l1_at_a_large_grid(lam, capsys):
+    # Through the midpoint pin the best slope is 0 by symmetry: the maximum is
+    # the curve min(s, 1 - s, lam/2), the minimum the chord with area lam/4.
+    m = 2000
+    assert main(["envelope", "--tdc", str(lam), "--measure", "l1", "--grid", str(m)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    s = np.arange(m + 1) / m
+    top = np.minimum(np.minimum(s, 1.0 - s), lam / 2.0)
+    assert abs(doc["max"] - (top.sum() - 0.5 * (top[0] + top[-1])) / m) <= 1e-12
+    assert abs(doc["min"] - lam / 4.0) <= 1e-12
+
+
 @pytest.mark.parametrize("measure", ["point:abc", "point:", "point:nan", "point:inf"])
 def test_envelope_unusable_point_exits_2(measure, capsys):
     assert main(["envelope", "--tdc", "0.5", "--measure", measure, "--grid", "20"]) == 2

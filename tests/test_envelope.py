@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
+import taildep.envelope
 from taildep.envelope import (
     EnvelopeResult,
     linf_range_given_tdc,
     measure_range,
     random_feasible,
 )
-from taildep.errors import InfeasibleError, ParameterError
+from taildep.errors import InfeasibleError, ParameterError, SolverError
 from taildep.measures import average_tail_dependence, max_tail_dependence, tdc
 from taildep.tdf import TailDependenceFunction
 
@@ -49,6 +50,14 @@ def test_avg_range_under_midpoint_pin():
     assert res.min_value == pytest.approx(0.125, abs=1e-9)
     assert res.max_value == pytest.approx(0.1875, abs=1e-9)
     assert float(average_tail_dependence(res.argmax)) == pytest.approx(0.1875, abs=1e-9)
+
+
+def test_avg_td_round_cap_raises_solver_error(monkeypatch):
+    # one master solve leaves the cutting plane short of the maximum
+    monkeypatch.setattr(taildep.envelope, "MAX_ROUNDS", 1)
+    pins = [(s, (s ** -2.0 + (1.0 - s) ** -2.0) ** -0.5) for s in (0.25, 0.5, 0.75)]
+    with pytest.raises(SolverError, match="did not converge"):
+        measure_range(pins, "avg_td", grid_size=100)
 
 
 def test_point_eval_range():

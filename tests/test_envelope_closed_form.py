@@ -20,6 +20,7 @@ from taildep.tdf import CONCAVITY_TOL, TDFKind
 
 TOL = 1e-12
 INFEASIBLE = 2  # linprog status
+TIGHT = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 
 
 def oracle_lp(m, pins):
@@ -34,13 +35,15 @@ def oracle_lp(m, pins):
     return A, bounds
 
 
-def oracle_min(c, A, bounds):
-    res = linprog(c, A_ub=A, b_ub=np.zeros(len(A)), bounds=bounds, method="highs")
+def oracle_min(c, A, bounds, options=None):
+    res = linprog(c, A_ub=A, b_ub=np.zeros(len(A)), bounds=bounds, method="highs",
+                  options=options)
     return res.status, res.fun
 
 
-def oracle_range(m, pins, measure, i0):
-    """(min, max) from HiGHS, or None when HiGHS reports the pins infeasible."""
+def oracle_range(m, pins, measure, i0, options=None):
+    """(min, max) from HiGHS, or None when HiGHS reports the pins infeasible.
+    ``options`` go to HiGHS for ``avg_td`` and ``point_eval``."""
     A, bounds = oracle_lp(m, pins)
     if measure == "max_td":
         # min t over (x, t) with x_i <= t; max = best single-coordinate maximum
@@ -59,11 +62,11 @@ def oracle_range(m, pins, measure, i0):
         c[0] = c[-1] = 0.5 / m
     else:
         c = np.eye(m + 1)[i0]
-    status, lo = oracle_min(c, A, bounds)
+    status, lo = oracle_min(c, A, bounds, options)
     if status == INFEASIBLE:
         return None
     assert status == 0
-    status, neg_hi = oracle_min(-c, A, bounds)
+    status, neg_hi = oracle_min(-c, A, bounds, options)
     assert status == 0
     return lo, -neg_hi
 
@@ -206,6 +209,47 @@ def test_concavity_tolerance_near_the_edge(m, i1, i2):
                   lambda: random_feasible(pins, grid_size=m)):
         with pytest.raises(InfeasibleError, match="not jointly concave"):
             build()
+
+
+def clayton_pins(theta=2.0):
+    return [(s, (s ** -theta + (1.0 - s) ** -theta) ** (-1.0 / theta)) for s in (0.25, 0.5, 0.75)]
+
+
+def curve_pins(m, n, seed):
+    """n pins read off a random concave curve on the m-grid."""
+    rng = np.random.default_rng(seed)
+    v = concave_curve(rng, m, "random")
+    return [(i / m, float(v[i])) for i in sorted(rng.choice(m + 1, n, replace=False))]
+
+
+def sweep_case(seed):
+    """Grid, curve shape, pin count and pin places all drawn from one seed."""
+    rng = np.random.default_rng(seed)
+    m = 2 * int(rng.integers(1, 201))
+    v = concave_curve(rng, m, rng.choice(["random", "bound", "chord"]))
+    idx = rng.choice(m + 1, int(rng.integers(1, min(m + 1, 100) + 1)), replace=False)
+    return m, [(i / m, float(v[i])) for i in idx]
+
+
+@pytest.mark.parametrize("m, pins", [
+    (400, [(0.5, 0.25)]),
+    (400, clayton_pins()),
+    (200, curve_pins(200, 16, 1)),
+    (200, curve_pins(200, 64, 2)),
+    sweep_case(3032071001),
+], ids=["midpoint-400", "clayton3-400", "pins16-200", "pins64-200", "pins53-192"])
+def test_avg_td_maximum_at_scale_matches_highs(m, pins):
+    # The cutting plane works per pin, so check grids and pin counts well
+    # beyond the hypothesis test's m <= 60 and 4 pins.  The 53 pins have
+    # values near 1e-4, far below the Frechet bound, which the master LP's
+    # scaling must resolve; there HiGHS's default feasibility tolerance of
+    # 1e-7 would lift its own maximum by 9e-10, so it runs tighter.
+    res = measure_range(pins, "avg_td", grid_size=m)
+    assert abs(res.max_value - oracle_range(m, pins, "avg_td", 0, TIGHT)[1]) <= TOL
+    assert res.argmax.kind is TDFKind.VALIDATED
+    for s, v in pins:
+        assert abs(res.argmax.values[round(s * m)] - v) <= TOL
+    assert abs(measure_of(res.argmax, "avg_td", None) - res.max_value) <= TOL
 
 
 def test_lp_iterations_count_only_the_avg_td_maximum():
