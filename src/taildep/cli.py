@@ -105,7 +105,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prices", required=True)
     p.add_argument("--format", choices=[WIDE, LONG], default=WIDE)
     p.add_argument("--base", required=True, help="base ticker paired against all others")
-    p.add_argument("--tickers", default=None, help="comma-separated subset (default: all others)")
+    p.add_argument("--tickers", default=None,
+                   help="comma-separated subset of the other tickers (default: all others); "
+                        "a repeated ticker or the base is an error")
     _add_estimator_flags(p)
     _add_normalization_flag(p, "doubled")
     p.add_argument("--no-project", action="store_true", help="skip the concave projection")
@@ -229,6 +231,11 @@ def _cmd_report(args) -> None:
         unknown = [t for t in others if t not in returns.tickers]
         if unknown:
             raise TailDepError(f"unknown tickers: {unknown}")
+        if args.base in others:
+            raise ConfigError(f"--tickers must not list the base ticker {args.base!r}")
+        repeated = sorted({t for t in others if others.count(t) > 1})
+        if repeated:
+            raise ConfigError(f"--tickers lists {repeated} more than once")
     else:
         others = [t for t in returns.tickers if t != args.base]
     config = PipelineConfig(

@@ -10,10 +10,13 @@ under strictly increasing marginal transforms; comparing integer ranks against
 k*x is equivalent to the integer threshold floor(k*x), which is how it is
 computed so results are bit-reproducible.
 
-Rolling estimation is batched: the windows of a series pair are ranked
-together (one stable argsort along axis 1 of a sliding-window view) and each
-window's corner points fill a (k+1) x (k+1) cumulative count table that is
-read at the integer thresholds.  Rows match ``empirical_tdf`` exactly.
+Rolling estimation is batched: the windows of a series pair are taken
+together from a sliding-window view, and only each window's k corner points
+are ranked (``np.argpartition`` along axis 1, then a stable sort of the k
+selected points; a window whose k-th value is tied across the corner boundary
+takes the full stable argsort).  The corner points fill a (k+1) x (k+1)
+cumulative count table that is read at the integer thresholds.  Rows match
+``empirical_tdf`` exactly.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ LOWER = "lower"
 UPPER = "upper"
 
 # Windows per chunk of the batched estimator are chosen so that its largest
-# temporaries (window-length sort orders, count tables) hold about this many
-# numbers each.
+# temporaries (window-length partition orders, count tables) hold about this
+# many numbers each.
 CHUNK_ELEMENTS = 1 << 16
 
 
@@ -235,18 +238,51 @@ def _corner_counts(xs: np.ndarray, ys: np.ndarray, k: int, tail: str) -> np.ndar
 
     ``table[w, a, b]`` is the number of points of window w with x-rank <= a and
     y-rank <= b (stable ranks, reflected for the upper tail), for a, b <= k.
+    Only the k points of each corner are ranked (``_corner_order``).
     """
-    order_x = np.argsort(xs, axis=1, kind="stable")
-    order_y = np.argsort(ys, axis=1, kind="stable")
-    if tail == UPPER:
-        # Reflected rank n + 1 - r: the largest values come first.
-        order_x = order_x[:, ::-1]
-        order_y = order_y[:, ::-1]
+    order_x = _corner_order(xs, k, tail)
+    order_y = _corner_order(ys, k, tail)
     rows = np.arange(xs.shape[0])[:, None]
     rank_y = np.zeros(ys.shape, dtype=np.intp)  # y-rank where it is <= k, else 0
-    rank_y[rows, order_y[:, :k]] = np.arange(1, k + 1)
+    rank_y[rows, order_y] = np.arange(1, k + 1)
     table = np.zeros((xs.shape[0], k + 1, k + 1), dtype=np.intp)
     # x-ranks are distinct, so each (a, b) cell receives at most one point.
-    table[rows, np.arange(1, k + 1), rank_y[rows, order_x[:, :k]]] = 1
+    table[rows, np.arange(1, k + 1), rank_y[rows, order_x]] = 1
     table[:, :, 0] = 0  # points outside the y-corner landed in column 0
     return table.cumsum(axis=1).cumsum(axis=2)
+
+
+def _corner_order(values: np.ndarray, k: int, tail: str) -> np.ndarray:
+    """The first k columns of each row's stable argsort, or for the upper tail
+    of its reverse (largest first, later positions first among ties).
+
+    ``np.argpartition`` selects k corner points per row, and a stable sort of
+    just those, taken in position order, orders them.  That equals the full
+    order's prefix unless the k-th value is tied with a point left outside,
+    which the partition may have selected in its place; such rows, and every
+    row when k is the window length, take the full stable argsort.
+    """
+    upper = tail == UPPER
+    n = values.shape[1]
+
+    def full(rows: np.ndarray) -> np.ndarray:
+        order = np.argsort(rows, axis=1, kind="stable")
+        return (order[:, ::-1] if upper else order)[:, :k]
+
+    if k >= n:
+        return full(values)
+    kth = n - k if upper else k - 1
+    part = np.argpartition(values, kth, axis=1)
+    boundary = np.take_along_axis(values, part[:, kth:kth + 1], axis=1)
+    if upper:
+        picked = np.sort(part[:, kth:], axis=1)[:, ::-1]
+        tied = np.count_nonzero(values >= boundary, axis=1) > k
+    else:
+        picked = np.sort(part[:, :k], axis=1)
+        tied = np.count_nonzero(values <= boundary, axis=1) > k
+    picked_values = np.take_along_axis(values, picked, axis=1)
+    within = np.argsort(-picked_values if upper else picked_values, axis=1, kind="stable")
+    order = np.take_along_axis(picked, within, axis=1)
+    if tied.any():
+        order[tied] = full(values[tied])
+    return order

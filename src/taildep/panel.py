@@ -107,7 +107,12 @@ def _load_wide(header: list[str], rows) -> ReturnPanel:
         if dates and d <= dates[-1]:
             raise DataError(f"row {row_no}: dates must be strictly increasing ({d} after {dates[-1]})")
         dates.append(d)
-        data.extend(_parse_cell(cell, row_no, "price") for cell in row[1:])
+        mark = len(data)
+        try:
+            data.extend(map(float, row[1:]))  # float strips blanks and reads nan
+        except ValueError:  # a blank or NA cell, or an error to report
+            del data[mark:]
+            data.extend(_parse_cell(cell, row_no, "price") for cell in row[1:])
     if not dates:
         raise DataError("no data rows")
     values = np.frombuffer(data, dtype=float).reshape(len(dates), len(tickers))

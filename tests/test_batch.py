@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from taildep import measures as meas
 from taildep.envelope import linf_range_given_tdc
 from taildep.errors import ConfigError, DataError, DomainError, ParameterError
-from taildep.estimator import EstimatorConfig, empirical_tdf, ranks
+from taildep.estimator import EstimatorConfig, _corner_order, empirical_tdf, ranks, rolling_estimate
 from taildep.panel import ReturnPanel, _series_stats, series_stats_rows
 from taildep.pipeline import CROSS_STATS, PipelineConfig, cross_section, run_pairs
 from taildep.tdf import (
@@ -121,6 +121,74 @@ def test_batched_report_equals_scalar_composition(case):
             for t in range(matrix.shape[1]):
                 expected = _series_stats(matrix[:, t])
                 assert cross["per_date"][name][t].tolist() == [expected[k] for k in CROSS_STATS]
+
+
+def _corner_data(rng, kind, shape):
+    """Integer-valued with heavy ties, or each row's values drawn with
+    replacement from its own continuous draws, or (any other kind) continuous."""
+    values = rng.standard_normal(shape)
+    if kind == "integer":
+        return np.floor(values * 3.0)
+    if kind == "copies":
+        cols = rng.integers(0, shape[-1], size=shape)
+        return np.take_along_axis(values, cols, axis=-1)
+    return values
+
+
+def _tie_at_kth(rng, values, k, tail):
+    """Copy each row's k-th corner value to a few random other points, so that
+    more than k points lie at or beyond it."""
+    values = values.copy()
+    n = values.shape[1]
+    sign = -1.0 if tail == "upper" else 1.0
+    for row in values:
+        kth = np.sort(sign * row)[k - 1] * sign
+        row[rng.choice(n, size=3, replace=False)] = kth
+    return values
+
+
+def _stable_prefix(values, k, tail):
+    order = np.argsort(values, axis=1, kind="stable")
+    return (order[:, ::-1] if tail == "upper" else order)[:, :k]
+
+
+@pytest.mark.parametrize("tail", ["lower", "upper"])
+@pytest.mark.parametrize("kind", ["continuous", "integer", "copies", "tied_at_kth"])
+@pytest.mark.parametrize("window, k", [(200, 14), (200, 1), (200, 199), (200, 200),
+                                       (500, 22), (600, 24), (600, 150), (600, 600)])
+def test_corner_order_is_the_stable_order_prefix(tail, kind, window, k):
+    """The partial selection must equal the first k columns of the full stable
+    argsort (reversed for the upper tail), also where the k-th value is tied
+    across the corner boundary and the selection has to fall back."""
+    rng = np.random.default_rng([window, k, len(kind), len(tail)])
+    values = _corner_data(rng, kind, (64, window))
+    if kind == "tied_at_kth":
+        values = _tie_at_kth(rng, values, k, tail)
+    assert np.array_equal(_corner_order(values, k, tail), _stable_prefix(values, k, tail))
+    if kind != "continuous" and k < window:
+        # The fallback is exercised: some row has more than k points at or
+        # beyond its k-th value.
+        kth = np.sort(values, axis=1)[:, window - k if tail == "upper" else k - 1]
+        beyond = values >= kth[:, None] if tail == "upper" else values <= kth[:, None]
+        assert np.any(beyond.sum(axis=1) > k)
+
+
+@pytest.mark.parametrize("tail", ["lower", "upper"])
+@pytest.mark.parametrize("kind", ["continuous", "integer", "copies"])
+@pytest.mark.parametrize("window, k", [(200, None), (300, 40), (250, 250)])
+def test_rolling_rows_equal_one_window_with_ties(tail, kind, window, k):
+    rng = np.random.default_rng([window, len(kind), len(tail)])
+    x, y = _corner_data(rng, kind, (2, window + 30))
+    y = y + x  # dependent, so the joint corner is populated
+    if kind == "integer":
+        y = np.floor(y)
+    config = EstimatorConfig(k=k, grid_size=50, tail=tail)
+    rolling = rolling_estimate(x, y, window, step=1, config=config)
+    assert len(rolling) == 31
+    for start, row in zip(rolling.starts, rolling.values):
+        stop = start + window
+        expected = empirical_tdf(ranks(x[start:stop], y[start:stop]), config)
+        assert np.array_equal(row, expected.values)
 
 
 def _lattice_grid(rng, m, denominator):

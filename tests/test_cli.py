@@ -239,6 +239,24 @@ def test_report_end_to_end(tmp_path):
     assert manifest["windows_per_pair"]["AAA"] == 6
 
 
+@pytest.mark.parametrize("tickers, named", [
+    ("AAA,AAA", "'AAA'"),
+    ("BASE", "'BASE'"),
+    ("AAA, BASE", "'BASE'"),
+])
+def test_report_rejects_repeated_or_base_tickers(prices_csv, tmp_path, capsys, tickers, named):
+    # A repeated ticker would count twice in every cross-section statistic,
+    # and the base would be paired with itself.
+    out_dir = tmp_path / "run"
+    rc = main(["report", "--prices", str(prices_csv), "--base", "BASE",
+               "--tickers", tickers, "--window", "8", "--grid", "4",
+               "--out-dir", str(out_dir)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --tickers") and named in err
+    assert not out_dir.exists()
+
+
 def test_data_errors_exit_two(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("date,A\n2020-01-02,1.0\n2020-01-01,2.0\n")

@@ -35,13 +35,16 @@ def oracle_lp(m, pins):
     return A, bounds
 
 
-def oracle_min(c, A, bounds, options=None):
+def oracle_min(c, A, bounds, options=TIGHT):
+    """HiGHS at feasibility tolerances of 1e-10: at its default of 1e-7 the
+    second differences may go positive by about 1e-7, which lifts an
+    ``avg_td`` maximum above the exact one by up to ~1e-9."""
     res = linprog(c, A_ub=A, b_ub=np.zeros(len(A)), bounds=bounds, method="highs",
                   options=options)
     return res.status, res.fun
 
 
-def oracle_range(m, pins, measure, i0, options=None):
+def oracle_range(m, pins, measure, i0, options=TIGHT):
     """(min, max) from HiGHS, or None when HiGHS reports the pins infeasible.
     ``options`` go to HiGHS for ``avg_td`` and ``point_eval``."""
     A, bounds = oracle_lp(m, pins)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from taildep.errors import DataError
-from taildep.panel import ReturnPanel, load_prices, log_returns, summary_stats
+from taildep.panel import ReturnPanel, _parse_cell, load_prices, log_returns, summary_stats
 
 WIDE = """date,AAA,BBB
 2020-01-01,100.0,50.0
@@ -92,6 +92,36 @@ def test_missing_cells_become_nan(tmp_path):
     assert math.isnan(panel.values[0, 1])
     assert math.isnan(panel.values[1, 1])
     assert panel.values[1, 0] == 2.0
+
+
+# Cells on which float() and the per-cell parser could disagree: padding,
+# underscores, NaN spellings and signs, blanks, infinities.
+ODD_CELLS = (" 1.5 ", "1_000", "nan", "-nan", "NaN", " nan ", "+nan", "NA", " na ",
+             "", "  ", "inf", "-Infinity", "1e308", "-0.0", "2.5")
+
+
+def test_wide_rows_parse_like_single_cells(tmp_path):
+    # Whole rows go through float() at once; each value must be bit-identical,
+    # NaN sign bits included, to what the per-cell parser gives.
+    n = len(ODD_CELLS)
+    rows = [ODD_CELLS[j:] + ODD_CELLS[:j] for j in range(n)] + [("1.0",) * n]
+    p = tmp_path / "odd.csv"
+    lines = ["date," + ",".join(f"T{j}" for j in range(n))]
+    lines += [f"2020-01-{i + 1:02d}," + ",".join(row) for i, row in enumerate(rows)]
+    p.write_text("\n".join(lines) + "\n")
+    panel = load_prices(p, fmt="wide")
+    expected = np.array([[_parse_cell(cell, 0, "price") for cell in row] for row in rows])
+    assert panel.values.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("cell", ["0x10", "abc", " abc ", "1.0.0", "N/A", "nan1"])
+@pytest.mark.parametrize("before", ["1.0,2.0", ",NA", " 3 ,nan"])
+def test_bad_cell_after_valid_cells_is_row_numbered(tmp_path, cell, before):
+    p = tmp_path / "bad.csv"
+    p.write_text(f"date,A,B,C\n2020-01-01,1.0,2.0,3.0\n2020-01-02,{before},{cell}\n")
+    with pytest.raises(DataError) as exc:
+        load_prices(p, fmt="wide")
+    assert str(exc.value) == f"row 3: unparseable price {cell.strip()!r}"
 
 
 def test_unknown_format_rejected(wide_csv):
