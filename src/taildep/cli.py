@@ -231,11 +231,6 @@ def _cmd_report(args) -> None:
         unknown = [t for t in others if t not in returns.tickers]
         if unknown:
             raise TailDepError(f"unknown tickers: {unknown}")
-        if args.base in others:
-            raise ConfigError(f"--tickers must not list the base ticker {args.base!r}")
-        repeated = sorted({t for t in others if others.count(t) > 1})
-        if repeated:
-            raise ConfigError(f"--tickers lists {repeated} more than once")
     else:
         others = [t for t in returns.tickers if t != args.base]
     config = PipelineConfig(

@@ -12,10 +12,10 @@ computed so results are bit-reproducible.
 
 Rolling estimation is batched: the windows of a series pair are taken
 together from a sliding-window view, and only each window's k corner points
-are ranked (``np.argpartition`` along axis 1, then a stable sort of the k
-selected points; a window whose k-th value is tied across the corner boundary
-takes the full stable argsort).  The corner points fill a (k+1) x (k+1)
-cumulative count table that is read at the integer thresholds.  Rows match
+are ranked (``np.partition`` along axis 1 finds the k-th value, the points
+below it and the first points equal to it form the corner, and a stable sort
+of those k orders them).  The corner points fill a (k+1) x (k+1) cumulative
+count table that is read at the integer thresholds.  Rows match
 ``empirical_tdf`` exactly.
 """
 
@@ -35,8 +35,8 @@ LOWER = "lower"
 UPPER = "upper"
 
 # Windows per chunk of the batched estimator are chosen so that its largest
-# temporaries (window-length partition orders, count tables) hold about this
-# many numbers each.
+# temporaries (window-length partitions and corner masks, count tables) hold
+# about this many numbers each.
 CHUNK_ELEMENTS = 1 << 16
 
 
@@ -256,33 +256,21 @@ def _corner_order(values: np.ndarray, k: int, tail: str) -> np.ndarray:
     """The first k columns of each row's stable argsort, or for the upper tail
     of its reverse (largest first, later positions first among ties).
 
-    ``np.argpartition`` selects k corner points per row, and a stable sort of
-    just those, taken in position order, orders them.  That equals the full
-    order's prefix unless the k-th value is tied with a point left outside,
-    which the partition may have selected in its place; such rows, and every
-    row when k is the window length, take the full stable argsort.
+    The corner is every point below the row's k-th smallest value plus the
+    first points equal to it, as many as fit; a stable sort of those k values,
+    taken in position order, orders them.  The upper tail is the lower tail of
+    the negated row read backwards.
     """
-    upper = tail == UPPER
+    if tail == UPPER:
+        return values.shape[1] - 1 - _corner_order(-values[:, ::-1], k, LOWER)
     n = values.shape[1]
-
-    def full(rows: np.ndarray) -> np.ndarray:
-        order = np.argsort(rows, axis=1, kind="stable")
-        return (order[:, ::-1] if upper else order)[:, :k]
-
-    if k >= n:
-        return full(values)
-    kth = n - k if upper else k - 1
-    part = np.argpartition(values, kth, axis=1)
-    boundary = np.take_along_axis(values, part[:, kth:kth + 1], axis=1)
-    if upper:
-        picked = np.sort(part[:, kth:], axis=1)[:, ::-1]
-        tied = np.count_nonzero(values >= boundary, axis=1) > k
-    else:
-        picked = np.sort(part[:, :k], axis=1)
-        tied = np.count_nonzero(values <= boundary, axis=1) > k
-    picked_values = np.take_along_axis(values, picked, axis=1)
-    within = np.argsort(-picked_values if upper else picked_values, axis=1, kind="stable")
-    order = np.take_along_axis(picked, within, axis=1)
-    if tied.any():
-        order[tied] = full(values[tied])
-    return order
+    kth = np.partition(values, k - 1, axis=1)[:, k - 1:k]
+    corner = values < kth
+    room = k - np.count_nonzero(corner, axis=1)
+    ties = np.flatnonzero(values == kth)  # row-major, so in position order per row
+    row = ties // n
+    rank = np.arange(ties.size) - np.searchsorted(row, row)  # among its row's ties
+    corner.flat[ties[rank < room[row]]] = True
+    picked = (np.flatnonzero(corner) % n).reshape(-1, k)
+    within = np.argsort(np.take_along_axis(values, picked, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(picked, within, axis=1)

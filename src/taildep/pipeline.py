@@ -19,6 +19,7 @@ therefore bit-identical to the one-window composition of ``empirical_tdf``,
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import measures as meas
 from .envelope import linf_range_given_tdc
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .estimator import EstimatorConfig, rolling_estimate, window_starts
 from .measures import DOUBLED
 from .panel import ReturnPanel, aggregate, series_stats_rows
@@ -95,11 +96,18 @@ def run_pairs(
 
     The windows of all pairs are stacked into one array before the projection
     and the measures, so both run once however the windows split into pairs.
+    ``others`` names each ticker once and not the base: a repeat would count
+    twice in every cross-section statistic, and the base would pair with itself.
     """
     names = tuple(measure_names)
     for name in names:
         meas.parse_measure(name)  # fail before estimating
     others = tuple(others)
+    if base in others:
+        raise ConfigError(f"--tickers must not list the base ticker {base!r}")
+    repeated = sorted(t for t, count in Counter(others).items() if count > 1)
+    if repeated:
+        raise ConfigError(f"--tickers lists {repeated} more than once")
     series = [_pair_series(panel, base, other, config.window) for other in others]
     # One array for the windows of all pairs; each pair's estimates land in
     # their block directly.

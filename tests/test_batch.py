@@ -159,15 +159,16 @@ def _stable_prefix(values, k, tail):
 def test_corner_order_is_the_stable_order_prefix(tail, kind, window, k):
     """The partial selection must equal the first k columns of the full stable
     argsort (reversed for the upper tail), also where the k-th value is tied
-    across the corner boundary and the selection has to fall back."""
+    across the corner boundary and only the first ties (for the upper tail,
+    the last) belong to the corner."""
     rng = np.random.default_rng([window, k, len(kind), len(tail)])
     values = _corner_data(rng, kind, (64, window))
     if kind == "tied_at_kth":
         values = _tie_at_kth(rng, values, k, tail)
     assert np.array_equal(_corner_order(values, k, tail), _stable_prefix(values, k, tail))
     if kind != "continuous" and k < window:
-        # The fallback is exercised: some row has more than k points at or
-        # beyond its k-th value.
+        # Ties straddle the corner boundary: some row has more than k points
+        # at or beyond its k-th value.
         kth = np.sort(values, axis=1)[:, window - k if tail == "upper" else k - 1]
         beyond = values >= kth[:, None] if tail == "upper" else values <= kth[:, None]
         assert np.any(beyond.sum(axis=1) > k)

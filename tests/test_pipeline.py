@@ -1,6 +1,7 @@
 """Rolling pair reports, cross-sections, and run directory output."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from taildep.pipeline import (
     PipelineConfig,
     cross_section,
     run_pair,
+    run_pairs,
     write_run,
 )
 from taildep.tdf import TDFKind
@@ -92,6 +94,21 @@ def test_unknown_ticker_and_measure():
         run_pair(toy_panel(), "BASE", "ZZZ", CFG)
     with pytest.raises(ConfigError):
         run_pair(toy_panel(), "BASE", "A", CFG, measure_names=("entropy",))
+
+
+@pytest.mark.parametrize("others, named", [
+    (("A", "A"), "['A'] more than once"),
+    (("A", "B", "A", "B"), "['A', 'B'] more than once"),
+    (("BASE",), "base ticker 'BASE'"),
+    (("A", "BASE"), "base ticker 'BASE'"),
+])
+def test_run_pairs_rejects_repeated_or_base_tickers(others, named):
+    # A repeated ticker would count twice in every cross-section statistic,
+    # and the base would be paired with itself.
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        run_pairs(toy_panel(), "BASE", others, CFG)
+    with pytest.raises(ConfigError, match="base ticker 'BASE'"):
+        run_pair(toy_panel(), "BASE", "BASE", CFG)
 
 
 def test_too_short_panel():
