@@ -11,7 +11,9 @@ maximizes minus their sum; afterwards the artificials are frozen at zero (they
 act as fixed columns, so no tableau surgery is needed).  Pricing is Dantzig
 with a switch to Bland's rule after a run of degenerate steps, which
 guarantees termination.  The solver keeps its basis between ``solve`` calls,
-so sweeping many objectives over one feasible region is cheap.
+so sweeping many objectives over one feasible region is cheap.  ``solve``
+raises ``SolverError`` rather than return a vertex that breaks a row or a
+bound.
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ class SimplexSolver:
         self.status[self.basis] = BASIC
         self.iterations = 0
         self._feasible = False
+        self._infeasibility = 0.0  # the phase-1 residual accepted as feasible
 
     # -- public ------------------------------------------------------------
 
@@ -79,6 +82,7 @@ class SimplexSolver:
         c_full[: self.n_struct] = c
         self._optimize(c_full)
         x = self._extract()
+        self._check_vertex(x)
         return LPSolution(x, float(c @ x), self.iterations)
 
     # -- internals ----------------------------------------------------------
@@ -118,6 +122,7 @@ class SimplexSolver:
             residual = -float(c_art @ self._full_solution())
             if residual > TOL_FEAS:
                 raise InfeasibleError(f"constraints are infeasible (residual {residual:.3e})")
+            self._infeasibility = residual
             # Freeze artificials at zero; fixed columns never re-enter.
             self.upper[n_old:] = 0.0
         self._feasible = True
@@ -213,6 +218,29 @@ class SimplexSolver:
             xb = self._basic_solution()
         x[self.basis] = xb
         return x[: self.n_struct].copy()
+
+    def _check_vertex(self, x: np.ndarray):
+        """Raise SolverError unless x meets every row and bound.
+
+        The tolerances above are absolute, so on a badly scaled problem the
+        pivots can end on a basis whose vertex breaks a row.  A row may break
+        by the residual phase 1 accepted, plus TOL_FEAS times the row's scale
+        |b_i| + sum_j |A_ij x_j|; a bound by TOL_FEAS times the bound, with a
+        floor of 1.
+        """
+        A = self.cols[:, : self.n_struct]
+        residual = A @ x - self.b
+        scale = np.abs(A) @ np.abs(x) + np.abs(self.b)
+        broken = np.flatnonzero(residual > self._infeasibility + TOL_FEAS * scale)
+        if broken.size:
+            i = int(broken[np.argmax(residual[broken])])
+            raise SolverError(f"simplex vertex breaks row {i} by {residual[i]:.3e}")
+        lower, upper = self.lower[: self.n_struct], self.upper[: self.n_struct]
+        below = lower - x > TOL_FEAS * np.maximum(np.abs(lower), 1.0)
+        above = x - upper > TOL_FEAS * np.maximum(np.abs(upper), 1.0)
+        if np.any(below | above):
+            j = int(np.flatnonzero(below | above)[0])
+            raise SolverError(f"simplex vertex breaks the bounds of variable {j}")
 
 
 def solve_lp(c, A, b, lower, upper, maximize: bool = True) -> LPSolution:

@@ -102,6 +102,7 @@ def run_pairs(
     names = tuple(measure_names)
     for name in names:
         meas.parse_measure(name)  # fail before estimating
+    estimator = config.estimator()  # and before sizing the array by the grid
     others = tuple(others)
     if base in others:
         raise ConfigError(f"--tickers must not list the base ticker {base!r}")
@@ -115,7 +116,7 @@ def run_pairs(
     offsets = np.cumsum([0, *sizes])
     curves = np.empty((offsets[-1], config.grid_size + 1))
     estimates = [
-        rolling_estimate(x, y, config.window, config.step, config.estimator(),
+        rolling_estimate(x, y, config.window, config.step, estimator,
                          out=curves[offsets[j]:offsets[j + 1]])
         for j, (x, y) in enumerate(series)
     ]

@@ -229,6 +229,92 @@ def test_projection_rows_equal_one_curve(m):
         assert np.array_equal(row, expected.values)
 
 
+def _runs(rng, m, heights):
+    """A step function: runs of random lengths, each at a height drawn from
+    ``heights``, so most points equal both their neighbours."""
+    count = int(rng.integers(1, max(2, min(12, m // 3))))
+    cuts = np.sort(rng.choice(np.arange(1, m + 1), count, replace=False))
+    run = np.searchsorted(cuts, np.arange(m + 1), side="right")
+    return rng.choice(heights, cuts.size + 1)[run]
+
+
+def _level_rows(rng, m, kind):
+    """Rows whose flat runs the hull skips, by kind."""
+    i = np.arange(m + 1)
+    rows = []
+    for _ in range(60):
+        k = int(rng.integers(1, 41))
+        if kind == "lattice":  # counts / k, as the estimator makes them
+            row = _runs(rng, m, np.arange(k + 1) / k)
+        elif kind == "float":
+            row = _runs(rng, m, rng.random(6))
+        elif kind == "collinear":  # flat top on exactly collinear lattice sides
+            top = int(rng.integers(0, m // 2 + 1))
+            row = np.minimum(np.minimum(i, m - i), top) / k
+        elif kind == "descend_ascend":  # down into a run, then up out of it
+            lo, hi = np.sort(rng.choice(m + 1, 2, replace=False))
+            row = np.where((i >= lo) & (i <= hi), 0.1 * rng.random(), 0.2 + 0.8 * rng.random(m + 1))
+            row = np.where(i < lo, np.maximum.accumulate(row[::-1])[::-1], row)
+        else:  # "ends_at_m_minus_1": a run from a to m - 1, then a different last value
+            row = _runs(rng, m, np.arange(k + 1) / k)
+            row[int(rng.integers(0, m)):m] = rng.integers(1, k + 1) / k
+            row[m] = 0.0
+        if rng.random() < 0.5:
+            row[0] = row[m] = 0.0
+        rows.append(row)
+    return np.array(rows, dtype=float)
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 40, 200, 256])
+@pytest.mark.parametrize("kind", ["lattice", "float", "collinear", "descend_ascend",
+                                  "ends_at_m_minus_1"])
+def test_projection_rows_skipping_flat_runs_equal_one_curve(m, kind):
+    # The chain scans only points next to a level change (and column m);
+    # every row still equals the one-curve projection bit for bit.
+    rng = np.random.default_rng(m)
+    grids = _level_rows(rng, m, kind)
+    if m >= 5:
+        flat = (grids[:, 1:-1] == grids[:, :-2]) & (grids[:, 1:-1] == grids[:, 2:])
+        assert flat.mean() > 0.2  # most interior points are skipped
+    projected = grids.copy()
+    least_concave_majorant_rows(projected)
+    for raw, row in zip(grids, projected):
+        expected = least_concave_majorant(TailDependenceFunction(m, raw, TDFKind.EMPIRICAL))
+        assert np.array_equal(row, expected.values)
+
+
+def _full_scan_rows(rng, m):
+    """Rows the row flag sends through every point: steps of subnormal size,
+    values in (0, 2**53 * m * tiny), negative values, and values above 1."""
+    tiny = np.finfo(float).tiny
+    rows = [np.r_[0.0, np.full(m - 1, 5e-324), 0.0]]  # a flat subnormal plateau
+    for _ in range(40):
+        rows.append(_runs(rng, m, np.arange(4) * 5e-324))
+        rows.append(_runs(rng, m, np.arange(4) * rng.random() * tiny))
+        rows.append(_runs(rng, m, rng.random(4) * 2.0 ** 52 * m * tiny))
+        rows.append(_runs(rng, m, rng.random(4) - 0.5))
+        rows.append(_runs(rng, m, 3.0 * rng.random(4)))
+    for row in rows:
+        row[0] = row[m] = 0.0  # keeps the one-curve projection admissible
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("m", [4, 7, 40, 200])
+def test_projection_rows_flagged_for_full_scan_equal_one_curve(m):
+    # Where value gaps times grid gaps may underflow or tie, skipping a flat
+    # point can move a hull vertex along a flat run, and interpolating from
+    # the other vertex rounds differently: [0, d, d, d, 0] with d = 5e-324
+    # does so at m = 4.  Mixed with unflagged rows, the flag is per row.
+    rng = np.random.default_rng(m)
+    grids = np.concatenate([_full_scan_rows(rng, m), _level_rows(rng, m, "lattice")])
+    rng.shuffle(grids)
+    projected = grids.copy()
+    least_concave_majorant_rows(projected)
+    for raw, row in zip(grids, projected):
+        expected = least_concave_majorant(TailDependenceFunction(m, raw, TDFKind.EMPIRICAL))
+        assert np.array_equal(row, expected.values)
+
+
 def test_projection_rows_needs_c_order():
     with pytest.raises(ParameterError):
         least_concave_majorant_rows(np.asfortranarray(np.zeros((4, 11))))

@@ -257,6 +257,17 @@ def test_report_rejects_repeated_or_base_tickers(prices_csv, tmp_path, capsys, t
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("grid", ["-4", "-2", "0", "5"])
+def test_report_bad_grid_exits_2(prices_csv, tmp_path, capsys, grid):
+    out_dir = tmp_path / "run"
+    rc = main(["report", "--prices", str(prices_csv), "--base", "BASE",
+               "--window", "8", "--grid", grid, "--out-dir", str(out_dir)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "grid_size" in err
+    assert not out_dir.exists()
+
+
 def test_data_errors_exit_two(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("date,A\n2020-01-02,1.0\n2020-01-01,2.0\n")

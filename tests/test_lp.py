@@ -5,6 +5,9 @@ bounds, so the tests stay in that shape.  scipy.optimize.linprog is a dev
 dependency used purely as an oracle here.
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -120,3 +123,38 @@ def test_singular_pivot_raises_solver_error(monkeypatch):
         solve_lp([-1.0], [[-1.0]], [-1.0], [0.0], [5.0])
     assert isinstance(info.value, TailDepError)
     assert isinstance(info.value, RuntimeError)
+
+
+def test_vertex_breaking_a_row_raises_solver_error(monkeypatch):
+    # max x + y inside the unit square with x + y <= 1.5; a vertex drifted
+    # 1e-6 past the row, relative to its scale of 3, must not be returned.
+    extract = SimplexSolver._extract
+    monkeypatch.setattr(SimplexSolver, "_extract", lambda self: extract(self) + 1e-6)
+    with pytest.raises(SolverError, match="breaks row 0 by 2.000e-06"):
+        solve_lp([1.0, 1.0], [[1.0, 1.0]], [1.5], [0.0, 0.0], [1.0, 1.0])
+    # Within TOL_FEAS of the row's scale the vertex passes.
+    monkeypatch.setattr(SimplexSolver, "_extract", lambda self: extract(self) + 1e-9)
+    sol = solve_lp([1.0, 1.0], [[1.0, 1.0]], [1.5], [0.0, 0.0], [1.0, 1.0])
+    assert sol.value == pytest.approx(1.5)
+
+
+def test_vertex_breaking_a_bound_raises_solver_error(monkeypatch):
+    extract = SimplexSolver._extract
+    monkeypatch.setattr(SimplexSolver, "_extract", lambda self: extract(self) - [0.0, 1e-6])
+    with pytest.raises(SolverError, match="bounds of variable 1"):
+        solve_lp([1.0, -1.0], [[1.0, 1.0]], [1.5], [0.0, 0.0], [1.0, 1.0])
+
+
+def test_unscaled_cutting_plane_master_raises_solver_error():
+    # Entries from 1e-5 to 1 defeat the absolute pivot and reduced-cost
+    # tolerances: the pivots end on a vertex that breaks row 48 by 7.0e-11,
+    # 3.7e-4 of the row's scale, and falls 2e-10 short of HiGHS.
+    path = Path(__file__).parent / "data" / "unscaled_master_53pins.json"
+    data = json.loads(path.read_text())
+    A = np.zeros((len(data["rows"]), data["n"]))
+    for i, row in enumerate(data["rows"]):
+        for j, value in row:
+            A[i, j] = value
+    b, lower, upper, c = (np.array(data[key]) for key in ("b", "lower", "upper", "c"))
+    with pytest.raises(SolverError, match="breaks row 48 by 6.998e-11"):
+        SimplexSolver(A, b, lower, upper).solve(c)

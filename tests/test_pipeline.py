@@ -111,6 +111,15 @@ def test_run_pairs_rejects_repeated_or_base_tickers(others, named):
         run_pair(toy_panel(), "BASE", "BASE", CFG)
 
 
+@pytest.mark.parametrize("grid_size", [-4, -2, -1, 0, 3])
+def test_bad_grid_is_a_config_error(grid_size):
+    # The grid is validated before it sizes the (windows, grid_size + 1)
+    # array, where a negative one would raise numpy's ValueError.
+    with pytest.raises(ConfigError, match="grid_size"):
+        run_pair(toy_panel(), "BASE", "A",
+                 PipelineConfig(window=100, step=50, grid_size=grid_size))
+
+
 def test_too_short_panel():
     with pytest.raises(DataError):
         run_pair(toy_panel(n=50), "BASE", "A", CFG)
