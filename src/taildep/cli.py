@@ -107,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", required=True, help="base ticker paired against all others")
     p.add_argument("--tickers", default=None,
                    help="comma-separated subset of the other tickers (default: all others); "
-                        "a repeated ticker or the base is an error")
+                        "a repeated ticker, the base, or a value naming no ticker is an error")
     _add_estimator_flags(p)
     _add_normalization_flag(p, "doubled")
     p.add_argument("--no-project", action="store_true", help="skip the concave projection")
@@ -226,8 +226,10 @@ def _cmd_report(args) -> None:
     returns = log_returns(panel)
     if args.base not in returns.tickers:
         raise TailDepError(f"base ticker {args.base!r} not in panel")
-    if args.tickers:
+    if args.tickers is not None:
         others = [t.strip() for t in args.tickers.split(",") if t.strip()]
+        if not others:
+            raise ConfigError(f"--tickers {args.tickers!r} names no ticker")
         unknown = [t for t in others if t not in returns.tickers]
         if unknown:
             raise TailDepError(f"unknown tickers: {unknown}")

@@ -14,6 +14,9 @@ axis, which numpy sums in the same order as a single curve.  Each row is
 therefore bit-identical to the one-window composition of ``empirical_tdf``,
 ``least_concave_majorant``, the ``measures`` functions and
 ``linf_range_given_tdc``, which remain the one-curve API.
+Windows one step apart often give bitwise-equal rows, so every stage after the
+estimator runs once per run of equal consecutive rows and is expanded back by
+index; a row's result depends only on its bits, so the output is unchanged.
 """
 
 from __future__ import annotations
@@ -95,7 +98,8 @@ def run_pairs(
     """Rolling estimation and measurement for the pairs (base, other), in order.
 
     The windows of all pairs are stacked into one array before the projection
-    and the measures, so both run once however the windows split into pairs.
+    and the measures, so both run once however the windows split into pairs,
+    on the first row of each run of bitwise-equal consecutive rows only.
     ``others`` names each ticker once and not the base: a repeat would count
     twice in every cross-section statistic, and the base would pair with itself.
     """
@@ -120,12 +124,16 @@ def run_pairs(
                          out=curves[offsets[j]:offsets[j + 1]])
         for j, (x, y) in enumerate(series)
     ]
+    first, index = _distinct_rows(curves)
+    distinct = curves[first]
     if config.project:
-        least_concave_majorant_rows(curves)
+        least_concave_majorant_rows(distinct)
+        # mode="clip": the default mode="raise" buffers out, a copy of curves.
+        np.take(distinct, index, axis=0, out=curves, mode="clip")
     curves.setflags(write=False)
-    values = meas.measure_rows(curves, names, config.normalization)
-    bands = np.column_stack(linf_range_given_tdc(meas.measure_rows(curves, ("tdc",))[:, 0],
-                                                 config.normalization))
+    values = meas.measure_rows(distinct, names, config.normalization)[index]
+    bands = np.column_stack(linf_range_given_tdc(meas.measure_rows(distinct, ("tdc",))[:, 0],
+                                                 config.normalization))[index]
     reports = []
     for j, other in enumerate(others):
         rows = slice(offsets[j], offsets[j + 1])
@@ -134,6 +142,15 @@ def run_pairs(
         reports.append(PairReport(base, other, names, starts, end_dates, values[rows],
                                   bands[rows], curves[rows], estimates[j].skipped, config))
     return reports
+
+
+def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Runs of bitwise-equal consecutive float64 rows (0.0 and -0.0 differ):
+    the first row of each run, and each row's run, so a[first][index] is a."""
+    bits = np.ascontiguousarray(a).view(np.uint64)
+    new = np.ones(len(bits), dtype=bool)
+    new[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+    return np.flatnonzero(new), np.cumsum(new) - 1
 
 
 def _pair_series(panel: ReturnPanel, base: str, other: str, window: int):
@@ -181,7 +198,8 @@ def cross_section(reports: list[PairReport]) -> dict:
     table = {}
     for col, name in enumerate(names):
         matrix = np.array([rep.values[:, col] for rep in reports])  # pairs x windows
-        per_date[name] = series_stats_rows(np.ascontiguousarray(matrix.T))
+        first, index = _distinct_rows(matrix.T)
+        per_date[name] = series_stats_rows(matrix.T[first])[index]
         series = series_stats_rows(matrix)  # pairs x CROSS_STATS
         table[name] = {}
         for label, key in _TABLE_KEY.items():
@@ -198,6 +216,15 @@ def format_float(x: float) -> str:
     return repr(float(x))
 
 
+def _row_texts(rows: np.ndarray) -> list[str]:
+    """The CSV cells of each row, formatted once per run of bitwise-equal rows;
+    equal floats need not print alike (0.0 == -0.0)."""
+    first, index = _distinct_rows(rows)
+    # tolist() gives Python floats, whose repr is format_float's text.
+    text = [",".join(map(repr, row)) for row in rows[first].tolist()]
+    return [text[i] for i in index.tolist()]
+
+
 def write_run(
     out_dir,
     reports: list[PairReport],
@@ -205,7 +232,8 @@ def write_run(
     manifest: dict,
     stats: dict | None = None,
 ) -> None:
-    """Write a run directory: manifest.json, per-pair CSVs, cross-section files."""
+    """Write a run directory: manifest.json, per-pair CSVs, cross-section files;
+    CSV cells are formatted once per run of bitwise-equal rows (``_row_texts``)."""
     out = Path(out_dir)
     (out / "pairs").mkdir(parents=True, exist_ok=True)
     with open(out / "manifest.json", "w", encoding="utf-8") as fh:
@@ -220,19 +248,16 @@ def write_run(
         with open(path, "w", encoding="utf-8", newline="") as fh:
             header = ["start", "end_date", *rep.measure_names, "linf_lo", "linf_hi"]
             fh.write(",".join(header) + "\n")
-            rows = zip(rep.starts.tolist(), rep.end_dates, rep.values.tolist(),
-                       rep.linf_bounds.tolist())
-            # tolist() gives Python floats, whose repr is format_float's text.
-            for start, end_date, values, bounds in rows:
-                fh.write(",".join([str(start), end_date, *map(repr, values), *map(repr, bounds)]) + "\n")
+            text = _row_texts(np.column_stack([rep.values, rep.linf_bounds]))
+            fh.writelines(f"{start},{end_date},{cells}\n"
+                          for start, end_date, cells in zip(rep.starts.tolist(), rep.end_dates, text))
     if cross is not None:
         cs_dir = out / "cross_section"
         cs_dir.mkdir(parents=True, exist_ok=True)
         for name, rows in cross["per_date"].items():
             with open(cs_dir / f"{name}.csv", "w", encoding="utf-8", newline="") as fh:
                 fh.write("end_date," + ",".join(CROSS_STATS) + "\n")
-                for d, row in zip(cross["dates"], rows.tolist()):
-                    fh.write(d + "," + ",".join(map(repr, row)) + "\n")
+                fh.writelines(f"{d},{cells}\n" for d, cells in zip(cross["dates"], _row_texts(rows)))
         with open(cs_dir / "summary.json", "w", encoding="utf-8") as fh:
             json.dump(cross["table"], fh, indent=2, sort_keys=True)
             fh.write("\n")

@@ -286,7 +286,7 @@ def least_concave_majorant_rows(values: np.ndarray) -> None:
     The row form of ``least_concave_majorant``: the same monotone chain runs
     column by column with one stack per row, the interpolation repeats
     ``np.interp``'s arithmetic, and the clipping is ``from_grid``'s, so every
-    row equals the one-curve result bit for bit.
+    row equals the one-curve result bit for bit.  Every value must be finite.
 
     The chain scans only the points where a row changes level: a point equal
     to both its neighbours is never a hull vertex, and it pops nothing that
@@ -301,6 +301,8 @@ def least_concave_majorant_rows(values: np.ndarray) -> None:
     """
     if values.ndim != 2 or not values.flags.c_contiguous or values.shape[1] < 3:
         raise ParameterError("expected a C-contiguous (rows, m + 1) array with m >= 2")
+    if not np.isfinite(values).all():
+        raise ParameterError("grid values must be finite")
     for lo in range(0, values.shape[0], HULL_CHUNK_ROWS):
         _project_chunk(values[lo:lo + HULL_CHUNK_ROWS])
 

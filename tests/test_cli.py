@@ -257,6 +257,19 @@ def test_report_rejects_repeated_or_base_tickers(prices_csv, tmp_path, capsys, t
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("tickers", [",", " , ", ",,", ""])
+def test_report_tickers_naming_no_ticker_exit_2(prices_csv, tmp_path, capsys, tickers):
+    # An empty run directory with no cross-section is not a report.
+    out_dir = tmp_path / "run"
+    rc = main(["report", "--prices", str(prices_csv), "--base", "BASE",
+               "--tickers", tickers, "--window", "8", "--grid", "4",
+               "--out-dir", str(out_dir)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --tickers") and "names no ticker" in err
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("grid", ["-4", "-2", "0", "5"])
 def test_report_bad_grid_exits_2(prices_csv, tmp_path, capsys, grid):
     out_dir = tmp_path / "run"

@@ -6,17 +6,23 @@ import re
 import numpy as np
 import pytest
 
+from taildep import measures as meas
+from taildep.envelope import linf_range_given_tdc
 from taildep.errors import ConfigError, DataError
-from taildep.panel import ReturnPanel
+from taildep.estimator import empirical_tdf, ranks
+from taildep.panel import ReturnPanel, _series_stats
 from taildep.pipeline import (
     CROSS_STATS,
+    PairReport,
     PipelineConfig,
     cross_section,
     run_pair,
     run_pairs,
     write_run,
 )
-from taildep.tdf import TDFKind
+from taildep.tdf import TDFKind, least_concave_majorant
+
+from test_batch import NAMES, scalar_measure
 
 
 def toy_panel(n=300, seed=0, tickers=("BASE", "A", "B")):
@@ -126,6 +132,87 @@ def test_too_short_panel():
 
 
 # ---------------------------------------------------------------------------
+# Runs of equal windows: each is projected and measured once
+# ---------------------------------------------------------------------------
+
+def coupled_panel(n, seed=0):
+    """BASE, a noisy pair A, two comonotone pairs C1 and C2 (every window's
+    estimate the same), and SKIP, whose one NaN at n // 2 lies in every
+    window of n // 2 + 1 returns."""
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal(n)
+    skip = rng.standard_normal(n)
+    skip[n // 2] = np.nan
+    values = np.column_stack([base, 0.6 * base + rng.standard_normal(n), 2.0 * base,
+                              3.0 * base + 1.0, skip])
+    dates = tuple(f"d{i:04d}" for i in range(n))
+    return ReturnPanel(dates, ("BASE", "A", "C1", "C2", "SKIP"), values)
+
+
+def reports_against_one_window_composition(panel, others, config):
+    """run_pairs, checked window by window against empirical_tdf ->
+    least_concave_majorant -> measures / band; returns the reports and the
+    raw one-window estimates stacked as run_pairs stacks them."""
+    reports = run_pairs(panel, "BASE", others, config, NAMES)
+    x = panel.column("BASE")
+    raw = []
+    for rep in reports:
+        y = panel.column(rep.other)
+        for j, start in enumerate(rep.starts.tolist()):
+            stop = start + config.window
+            tdf = empirical_tdf(ranks(x[start:stop], y[start:stop]), config.estimator())
+            raw.append(tdf.values)
+            if config.project:
+                tdf = least_concave_majorant(tdf)
+            assert rep.curves[j].tobytes() == tdf.values.tobytes()
+            for col, name in enumerate(NAMES):
+                assert rep.values[j, col] == scalar_measure(tdf, name, config.normalization), name
+            band = linf_range_given_tdc(meas.tdc(tdf).value, config.normalization)
+            assert tuple(rep.linf_bounds[j]) == band
+    return reports, np.array(raw).reshape(-1, config.grid_size + 1)
+
+
+def repeats(rows):
+    """How many rows equal the row before them."""
+    return int((rows[1:] == rows[:-1]).all(axis=1).sum())
+
+
+@pytest.mark.parametrize("project", [True, False])
+def test_equal_windows_within_and_across_pairs(project):
+    config = PipelineConfig(window=40, step=1, grid_size=20, project=project)
+    reports, raw = reports_against_one_window_composition(
+        coupled_panel(90), ("A", "C1", "C2"), config)
+    _, c1, c2 = reports
+    assert len(c1.starts) == 51 and repeats(raw[51:]) == 101  # C1 then C2: one run
+    assert repeats(raw[:51]) > 0  # the noisy pair repeats too, with step 1
+    assert (c1.curves == c1.curves[0]).all()
+    assert c1.curves[-1].tobytes() == c2.curves[0].tobytes()
+    cross = cross_section(reports)
+    for col, name in enumerate(NAMES):
+        for t in range(51):
+            expected = _series_stats(np.array([rep.values[t, col] for rep in reports]))
+            assert cross["per_date"][name][t].tolist() == [expected[k] for k in CROSS_STATS]
+
+
+def test_one_window_per_pair():
+    config = PipelineConfig(window=40, step=1, grid_size=20)
+    reports, raw = reports_against_one_window_composition(
+        coupled_panel(40), ("C1", "C2", "A"), config)
+    assert [len(rep.starts) for rep in reports] == [1, 1, 1]
+    assert repeats(raw) == 1  # C1 and C2
+
+
+def test_pair_with_every_window_skipped_between_equal_pairs():
+    config = PipelineConfig(window=40, step=1, grid_size=20)
+    reports, raw = reports_against_one_window_composition(
+        coupled_panel(79), ("C1", "SKIP", "C2"), config)
+    skip = reports[1]
+    assert len(skip.starts) == 0 and len(skip.skipped) == 40
+    assert skip.values.shape == (0, len(NAMES)) and skip.curves.shape == (0, 21)
+    assert len(raw) == 80 and repeats(raw) == 79  # one run across the empty block
+
+
+# ---------------------------------------------------------------------------
 # Cross sections
 # ---------------------------------------------------------------------------
 
@@ -202,3 +289,43 @@ def test_write_run_files(tmp_path):
 
     summary = json.loads((root / "cross_section" / "summary.json").read_text())
     assert "tdc" in summary
+
+
+def test_write_run_reuses_text_only_for_bitwise_equal_rows(tmp_path):
+    # 0.0 == -0.0 but their texts differ (rows 0-1 and 6-7); NaNs with
+    # different payloads print the same (rows 2-3); row 6 equals row 4 across
+    # a different row.
+    nan1, nan2 = np.array([0x7FF8000000000001, 0xFFF8000000000002], dtype=np.uint64).view(float)
+    values = np.array([[0.5, 0.0], [0.5, -0.0], [nan1, 0.25], [nan2, 0.25],
+                       [0.1, 0.2], [0.3, 0.4], [0.1, 0.2], [0.1, 0.2]])
+    bounds = np.array([[0.0, 1.0], [0.0, 1.0], [0.0, 1.0], [0.0, 1.0],
+                       [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, -0.0]])
+    n = len(values)
+    rep = PairReport("BASE", "A", ("tdc", "linf"), np.arange(n), tuple(f"d{i}" for i in range(n)),
+                     values, bounds, np.zeros((n, 3)), (), PipelineConfig(grid_size=2))
+    per_date = np.repeat(values[:, :1], len(CROSS_STATS), axis=1)
+    per_date[:, -1] = values[:, 1]
+    cross = {"dates": list(rep.end_dates), "per_date": {"tdc": per_date}, "table": {}}
+    write_run(tmp_path, [rep], cross, manifest={})
+    assert (tmp_path / "pairs" / "BASE_A.csv").read_text() == (
+        "start,end_date,tdc,linf,linf_lo,linf_hi\n"
+        "0,d0,0.5,0.0,0.0,1.0\n"
+        "1,d1,0.5,-0.0,0.0,1.0\n"
+        "2,d2,nan,0.25,0.0,1.0\n"
+        "3,d3,nan,0.25,0.0,1.0\n"
+        "4,d4,0.1,0.2,0.0,0.0\n"
+        "5,d5,0.3,0.4,0.0,0.0\n"
+        "6,d6,0.1,0.2,0.0,0.0\n"
+        "7,d7,0.1,0.2,0.0,-0.0\n"
+    )
+    assert (tmp_path / "cross_section" / "tdc.csv").read_text() == (
+        "end_date," + ",".join(CROSS_STATS) + "\n"
+        "d0,0.5,0.5,0.5,0.5,0.5,0.5,0.0\n"
+        "d1,0.5,0.5,0.5,0.5,0.5,0.5,-0.0\n"
+        "d2,nan,nan,nan,nan,nan,nan,0.25\n"
+        "d3,nan,nan,nan,nan,nan,nan,0.25\n"
+        "d4,0.1,0.1,0.1,0.1,0.1,0.1,0.2\n"
+        "d5,0.3,0.3,0.3,0.3,0.3,0.3,0.4\n"
+        "d6,0.1,0.1,0.1,0.1,0.1,0.1,0.2\n"
+        "d7,0.1,0.1,0.1,0.1,0.1,0.1,0.2\n"
+    )

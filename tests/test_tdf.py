@@ -20,6 +20,7 @@ from taildep.tdf import (
     from_parametric,
     independence,
     least_concave_majorant,
+    least_concave_majorant_rows,
     parabola,
     tent,
 )
@@ -284,3 +285,16 @@ def test_lcm_monotone(random_tdf):
     lf = least_concave_majorant(f)
     lg = least_concave_majorant(g)
     assert np.all(lg.values <= lf.values + 1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_lcm_rows_reject_non_finite(bad):
+    row = np.array([0.0, 0.1, bad, 0.2, 0.0])
+    if math.isnan(bad):  # the one-curve form fails the same way on NaN
+        with pytest.raises(ParameterError, match="grid values must be finite"):
+            least_concave_majorant(TailDependenceFunction(4, row, TDFKind.EMPIRICAL))
+    rows = np.array([[0.0, 0.2, 0.1, 0.2, 0.0], row, [0.0] * 5])
+    before = rows.copy()
+    with pytest.raises(ParameterError, match="grid values must be finite"):
+        least_concave_majorant_rows(rows)
+    assert np.array_equal(rows, before, equal_nan=True)  # no row was projected
