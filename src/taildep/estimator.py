@@ -17,6 +17,19 @@ below it and the first points equal to it form the corner, and a stable sort
 of those k orders them).  The corner points fill a (k+1) x (k+1) cumulative
 count table that is read at the integer thresholds.  Rows match
 ``empirical_tdf`` exactly.
+
+With step 1, most windows are not ranked at all: window j is then window
+j - 1 less its first point and plus one new point.  When both of those
+points lie strictly beyond window j - 1's k-th value in x and in y (above it
+for the lower tail, below it for the upper), the two windows have the same
+k-th values and the same corner points, in the same relative position
+order.  Their stable corner ranks, count tables and rows are then the same,
+and row j is copied from row j - 1.  A point equal to the k-th value (0.0
+and -0.0 are equal) can decide which of the tied points fill the corner, so
+it sends the window to the full computation, as does a window that is not
+the one before moved by one point (step > 1, or skipped windows in
+between).  Every window still gets its k-th values, from one
+``np.partition`` per window and series.
 """
 
 from __future__ import annotations
@@ -196,6 +209,11 @@ def rolling_estimate(
     containing NaN in either series is skipped and reported in ``skipped``.
     ``out``, if given, is a C-contiguous (windows, grid_size + 1) array that
     receives the estimates, one row per window that is not skipped.
+
+    A window that only drops and adds a point strictly beyond the previous
+    window's k-th value in both series has the previous window's corners, so
+    its row is copied, not computed (the module docstring says why that is
+    exact); with step 1 that is most windows.
     """
     x_arr = np.asarray(x, dtype=float)
     y_arr = np.asarray(y, dtype=float)
@@ -215,33 +233,77 @@ def rolling_estimate(
 
 
 def _window_estimates(x, y, starts, window, k, config, out) -> None:
-    """``empirical_tdf`` of every window [t, t + window), t in starts, into rows of out."""
+    """``empirical_tdf`` of every window [t, t + window), t in starts, into rows of out.
+
+    Row j is a copy of row j - 1 when window j is window j - 1 moved by one
+    point and both the dropped and the added point lie strictly beyond window
+    j - 1's k-th value in x and in y (the module docstring says why that is
+    exact); every other window is ranked and counted.
+    """
     m = config.grid_size
     i = np.arange(m + 1)
     tx = (k * i) // m
     ty = (k * (m - i)) // m
+    bound = upper_bound(m)
+    # Values in the lower tail's order: the k-th values are those of the negated
+    # series for the upper tail (``_kth``).
+    ux, uy = (-x, -y) if config.tail == UPPER else (x, y)
+    kth_x = np.empty(starts.size)
+    kth_y = np.empty(starts.size)
+    follows = np.zeros(starts.size, dtype=bool)  # window j is window j - 1 moved by one point
+    follows[1:] = starts[1:] == starts[:-1] + 1
     x_windows = sliding_window_view(x, window)
     y_windows = sliding_window_view(y, window)
     rows = max(1, CHUNK_ELEMENTS // max(window, (k + 1) ** 2))
     for lo in range(0, starts.size, rows):
         chunk = starts[lo:lo + rows]
-        table = _corner_counts(x_windows[chunk], y_windows[chunk], k, config.tail)
-        out[lo:lo + chunk.size] = table[:, tx, ty] / k
-    # What from_grid does to the counts (the endpoint counts are already zero).
-    np.clip(out, 0.0, upper_bound(m), out=out)
-    out[:, 0] = 0.0
-    out[:, m] = 0.0
+        hi = lo + chunk.size
+        # Gather each window once: a view when the starts are consecutive.
+        picked = slice(chunk[0], chunk[-1] + 1) if chunk[-1] - chunk[0] == chunk.size - 1 else chunk
+        xs, ys = x_windows[picked], y_windows[picked]
+        kth_x[lo:hi] = _kth(xs, k, config.tail)
+        kth_y[lo:hi] = _kth(ys, k, config.tail)
+        same = follows[lo:hi].copy()
+        j = lo + np.flatnonzero(same)
+        if j.size:
+            dropped = starts[j - 1]
+            added = dropped + window
+            kx, ky = kth_x[j - 1], kth_y[j - 1]
+            same[j - lo] = ((ux[dropped] > kx) & (uy[dropped] > ky)
+                            & (ux[added] > kx) & (uy[added] > ky))
+        reused = j.size > 0 and same.any()
+        fresh = np.flatnonzero(~same) if reused else slice(None)
+        if not (reused and same.all()):
+            table = _corner_counts(xs[fresh], ys[fresh], k, config.tail,
+                                   kth_x[lo:hi][fresh], kth_y[lo:hi][fresh])
+            counts = table[:, tx, ty] / k
+            # What from_grid does to the counts: np.clip(counts, 0.0, bound),
+            # where counts >= 0 (and the endpoint counts are already zero).
+            out[lo:hi][fresh] = np.minimum(counts, bound, out=counts)
+        if reused:
+            # A reused row copies the last fresh row before it, here or in an
+            # earlier chunk (row lo - 1 is final by now).
+            last = np.maximum.accumulate(np.where(same, lo - 1, np.arange(lo, hi)))
+            out[lo + np.flatnonzero(same)] = out[last[same]]
 
 
-def _corner_counts(xs: np.ndarray, ys: np.ndarray, k: int, tail: str) -> np.ndarray:
+def _kth(values: np.ndarray, k: int, tail: str) -> np.ndarray:
+    """Each row's k-th smallest value, of the negated row for the upper tail."""
+    part = -values if tail == UPPER else np.array(values)
+    part.partition(k - 1, axis=1)
+    return part[:, k - 1]
+
+
+def _corner_counts(xs, ys, k: int, tail: str, kth_x, kth_y) -> np.ndarray:
     """Cumulative corner counts of windows stacked as rows.
 
     ``table[w, a, b]`` is the number of points of window w with x-rank <= a and
     y-rank <= b (stable ranks, reflected for the upper tail), for a, b <= k.
-    Only the k points of each corner are ranked (``_corner_order``).
+    Only the k points of each corner are ranked (``_corner_order``, given the
+    rows' ``_kth`` values).
     """
-    order_x = _corner_order(xs, k, tail)
-    order_y = _corner_order(ys, k, tail)
+    order_x = _corner_order(xs, k, tail, kth_x)
+    order_y = _corner_order(ys, k, tail, kth_y)
     rows = np.arange(xs.shape[0])[:, None]
     rank_y = np.zeros(ys.shape, dtype=np.intp)  # y-rank where it is <= k, else 0
     rank_y[rows, order_y] = np.arange(1, k + 1)
@@ -252,19 +314,21 @@ def _corner_counts(xs: np.ndarray, ys: np.ndarray, k: int, tail: str) -> np.ndar
     return table.cumsum(axis=1).cumsum(axis=2)
 
 
-def _corner_order(values: np.ndarray, k: int, tail: str) -> np.ndarray:
+def _corner_order(values: np.ndarray, k: int, tail: str, kth=None) -> np.ndarray:
     """The first k columns of each row's stable argsort, or for the upper tail
     of its reverse (largest first, later positions first among ties).
 
     The corner is every point below the row's k-th smallest value plus the
     first points equal to it, as many as fit; a stable sort of those k values,
     taken in position order, orders them.  The upper tail is the lower tail of
-    the negated row read backwards.
+    the negated row read backwards.  ``kth``, if given, is ``_kth``'s result.
     """
+    if kth is None:
+        kth = _kth(values, k, tail)
     if tail == UPPER:
-        return values.shape[1] - 1 - _corner_order(-values[:, ::-1], k, LOWER)
+        return values.shape[1] - 1 - _corner_order(-values[:, ::-1], k, LOWER, kth)
     n = values.shape[1]
-    kth = np.partition(values, k - 1, axis=1)[:, k - 1:k]
+    kth = kth[:, None]
     corner = values < kth
     room = k - np.count_nonzero(corner, axis=1)
     ties = np.flatnonzero(values == kth)  # row-major, so in position order per row
@@ -272,5 +336,6 @@ def _corner_order(values: np.ndarray, k: int, tail: str) -> np.ndarray:
     rank = np.arange(ties.size) - np.searchsorted(row, row)  # among its row's ties
     corner.flat[ties[rank < room[row]]] = True
     picked = (np.flatnonzero(corner) % n).reshape(-1, k)
-    within = np.argsort(np.take_along_axis(values, picked, axis=1), axis=1, kind="stable")
-    return np.take_along_axis(picked, within, axis=1)
+    rows = np.arange(values.shape[0])[:, None]
+    within = np.argsort(values[rows, picked], axis=1, kind="stable")
+    return picked[rows, within]

@@ -210,16 +210,23 @@ def series_stats_rows(values: np.ndarray) -> np.ndarray:
     ])
 
 
+def aggregate_rows(values: np.ndarray) -> np.ndarray:
+    """The CROSS_AGGS of each row of a (statistics, series) array, as
+    (rows, CROSS_AGGS); each row equals ``aggregate`` of it bit for bit.
+
+    Every reduction runs along the last axis of a C-contiguous array, and
+    each quantile takes its own ``np.quantile`` call: one call with several
+    levels can give a differently signed zero where the order statistics are
+    tied +-0.0.
+    """
+    a = np.ascontiguousarray(values, dtype=float)
+    q05, q10, q90, q95 = (np.quantile(a, q, axis=1, method="linear") for q in (0.05, 0.10, 0.90, 0.95))
+    return np.column_stack([q05, q10, np.mean(a, axis=1), np.median(a, axis=1), q90, q95])
+
+
 def aggregate(values: np.ndarray) -> dict[str, float]:
     """The CROSS_AGGS of one statistic across series, in that order."""
-    return dict(zip(CROSS_AGGS, (
-        _quantile(values, 0.05),
-        _quantile(values, 0.10),
-        float(np.mean(values)),
-        float(np.median(values)),
-        _quantile(values, 0.90),
-        _quantile(values, 0.95),
-    )))
+    return dict(zip(CROSS_AGGS, aggregate_rows(np.reshape(values, (1, -1)))[0].tolist()))
 
 
 def summary_stats(panel: ReturnPanel) -> dict:

@@ -33,7 +33,7 @@ from .envelope import linf_range_given_tdc
 from .errors import ConfigError, DataError
 from .estimator import EstimatorConfig, rolling_estimate, window_starts
 from .measures import DOUBLED
-from .panel import ReturnPanel, aggregate, series_stats_rows
+from .panel import ReturnPanel, aggregate_rows, series_stats_rows
 from .tdf import TailDependenceFunction, TDFKind, least_concave_majorant_rows
 
 # The one-window projection stays importable here, where perfbench/tracing.py
@@ -42,8 +42,8 @@ from .tdf import least_concave_majorant  # noqa: F401
 
 DEFAULT_MEASURES = ("tdc", "l1", "linf", "spearman_ev", "extremal_dep")
 CROSS_STATS = ("mean", "median", "st_dev", "minimum", "maximum", "q05", "q95")
+# Labels of CROSS_STATS, in that order.
 TABLE_STATS = ("Mean", "Median", "St. dev.", "Minimum", "Maximum", "5%-quantile", "95%-quantile")
-_TABLE_KEY = dict(zip(TABLE_STATS, CROSS_STATS))
 TABLE_AGGS = ("5%", "10%", "Mean", "Median", "90%", "95%")  # labels of panel.CROSS_AGGS
 
 
@@ -195,16 +195,15 @@ def cross_section(reports: list[PairReport]) -> dict:
             )
     names = reports[0].measure_names
     per_date = {}
-    table = {}
+    series = []  # per measure, (CROSS_STATS, pairs)
     for col, name in enumerate(names):
         matrix = np.array([rep.values[:, col] for rep in reports])  # pairs x windows
         first, index = _distinct_rows(matrix.T)
         per_date[name] = series_stats_rows(matrix.T[first])[index]
-        series = series_stats_rows(matrix)  # pairs x CROSS_STATS
-        table[name] = {}
-        for label, key in _TABLE_KEY.items():
-            series_stat = np.ascontiguousarray(series[:, CROSS_STATS.index(key)])
-            table[name][label] = dict(zip(TABLE_AGGS, aggregate(series_stat).values()))
+        series.append(series_stats_rows(matrix).T)
+    # The summary table: every (measure, statistic) row aggregated in one call.
+    aggs = iter(aggregate_rows(np.concatenate(series)).tolist())
+    table = {name: {label: dict(zip(TABLE_AGGS, next(aggs))) for label in TABLE_STATS} for name in names}
     return {"dates": list(dates), "per_date": per_date, "table": table}
 
 

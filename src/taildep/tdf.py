@@ -259,11 +259,13 @@ def least_concave_majorant(tdf: TailDependenceFunction) -> TailDependenceFunctio
 
     The result is the upper convex hull of the grid points, clipped at
     min(s, 1 - s); it is VALIDATED, idempotent on validated inputs, and
-    monotone in the pointwise order.
+    monotone in the pointwise order.  Every value must be finite.
     """
     m = tdf.grid_size
     s = tdf.grid
     v = tdf.values
+    if not np.isfinite(v).all():
+        raise ParameterError("grid values must be finite")
     # Upper hull, left to right: keep the chain turning clockwise.
     hull: list[int] = []
     for i in range(m + 1):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from taildep import estimator
 from taildep import measures as meas
 from taildep.envelope import linf_range_given_tdc
 from taildep.errors import ConfigError, DataError, DomainError, ParameterError
@@ -190,6 +191,81 @@ def test_rolling_rows_equal_one_window_with_ties(tail, kind, window, k):
         stop = start + window
         expected = empirical_tdf(ranks(x[start:stop], y[start:stop]), config)
         assert np.array_equal(row, expected.values)
+
+
+def _reuse_data(rng, kind, tail, n):
+    """A dependent series pair whose windows often drop or add a point equal
+    to their k-th value (all kinds but "continuous" and "comonotone")."""
+    x = rng.standard_normal(n)
+    y = 0.7 * x + 0.7 * rng.standard_normal(n)
+    if kind == "comonotone":
+        y = np.exp(x)
+    elif kind == "integer":
+        x, y = np.floor(x * 2.0), np.floor(y * 2.0)
+    elif kind == "integer_comonotone":
+        x = np.floor(x * 2.0)
+        y = 3.0 * x
+    elif kind == "signed_zeros":
+        # Most values are zeros of either sign, so the k-th value is 0.0 or
+        # -0.0 and the dropped or added point is often the other zero.
+        x = np.where(x < 0.5, rng.choice([0.0, -0.0], n), x)
+        y = np.where(y < 0.4, rng.choice([0.0, -0.0], n), y)
+    if tail == "upper":  # the same corners, mirrored
+        x, y = -x, -y
+    return x, y
+
+
+def _boundary_ties(x, y, starts, window, k, tail):
+    """How many windows one point after the one before drop or add a point
+    equal to the earlier window's k-th value in x or in y."""
+    count = 0
+    for prev, start in zip(starts[:-1].tolist(), starts[1:].tolist()):
+        if start != prev + 1:
+            continue
+        for v in (x, y):
+            u = -v[prev:prev + window + 1] if tail == "upper" else v[prev:prev + window + 1]
+            kth = np.sort(u[:-1])[k - 1]
+            count += int(u[0] == kth or u[-1] == kth)
+    return count
+
+
+@pytest.mark.parametrize("tail", ["lower", "upper"])
+@pytest.mark.parametrize("kind", ["continuous", "comonotone", "integer", "integer_comonotone",
+                                  "signed_zeros"])
+@pytest.mark.parametrize("step", [1, 3])
+@pytest.mark.parametrize("k", [None, 1, 120])
+@pytest.mark.parametrize("gap", [False, True])
+def test_rolling_rows_reuse_only_windows_with_the_same_corners(tail, kind, step, k, gap, monkeypatch):
+    """A window reuses the row before it only when it is that window moved by
+    one point and the dropped and the added point lie strictly beyond its
+    k-th value in x and y; every row stays == the one-window estimate, where
+    those points tie the k-th value (also 0.0 against -0.0), across NaN gaps
+    that break the run of starts, and for step > 1."""
+    window = 120
+    rng = np.random.default_rng([len(kind), step, k or 0, gap, len(tail)])
+    x, y = _reuse_data(rng, kind, tail, window + 300)
+    if gap:  # skipped windows, so the starts jump twice
+        x[140] = np.nan
+        y[290] = np.nan
+    counted = []
+    count = estimator._corner_counts
+    monkeypatch.setattr(estimator, "_corner_counts",
+                        lambda xs, *args: (counted.append(len(xs)), count(xs, *args))[1])
+    config = EstimatorConfig(k=k, grid_size=20, tail=tail)
+    rolling = rolling_estimate(x, y, window, step=step, config=config)
+    monkeypatch.undo()
+    assert len(rolling) > 10 and (len(rolling.skipped) > 0) == gap
+    for start, row in zip(rolling.starts.tolist(), rolling.values):
+        stop = start + window
+        expected = empirical_tdf(ranks(x[start:stop], y[start:stop]), config)
+        assert np.array_equal(row, expected.values)
+    k_eff = config.resolve_k(window)
+    if step > 1 or k_eff == window:
+        assert sum(counted) == len(rolling)  # nothing lies strictly beyond the largest value
+    else:
+        assert sum(counted) < len(rolling)  # some rows really were reused
+    if kind in ("integer", "integer_comonotone", "signed_zeros") and step == 1 and k is None:
+        assert _boundary_ties(x, y, rolling.starts, window, k_eff, tail) > 0
 
 
 def _lattice_grid(rng, m, denominator):

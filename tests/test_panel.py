@@ -6,7 +6,16 @@ import numpy as np
 import pytest
 
 from taildep.errors import DataError
-from taildep.panel import ReturnPanel, _parse_cell, load_prices, log_returns, summary_stats
+from taildep.panel import (
+    CROSS_AGGS,
+    ReturnPanel,
+    _parse_cell,
+    aggregate,
+    aggregate_rows,
+    load_prices,
+    log_returns,
+    summary_stats,
+)
 
 WIDE = """date,AAA,BBB
 2020-01-01,100.0,50.0
@@ -199,3 +208,27 @@ def test_summary_cross_section_aggregates_series_stats():
     assert cross["mean"]["median"] == pytest.approx(2.75)
     assert cross["mean"]["q05"] == pytest.approx(1.625)
     assert cross["maximum"]["q95"] == pytest.approx(4.85)
+
+
+def _aggregate_one(values):
+    """The CROSS_AGGS of one 1-D array, one numpy call per statistic."""
+    q = [float(np.quantile(values, level, method="linear")) for level in (0.05, 0.10, 0.90, 0.95)]
+    return [q[0], q[1], float(np.mean(values)), float(np.median(values)), q[2], q[3]]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 48])
+def test_aggregate_rows_equal_one_statistic_at_a_time(n):
+    """Each row of aggregate_rows has the bits of the 1-D computation, also on
+    rows of tied +-0.0 where a multi-level quantile call flips a zero's sign."""
+    rng = np.random.default_rng(n)
+    rows = [rng.standard_normal(n), rng.integers(-2, 3, n) * 0.5,
+            rng.choice([0.0, -0.0], n), rng.choice([0.0, -0.0, 1.0, -1.0], n),
+            np.full(n, -0.0), rng.standard_normal(n) * 1e300]
+    rows += [rng.choice([0.0, -0.0, 0.25], n) for _ in range(200)]
+    got = aggregate_rows(np.array(rows))
+    assert got.shape == (len(rows), len(CROSS_AGGS))
+    for row, out in zip(rows, got):
+        expected = np.array(_aggregate_one(row))
+        assert out.tobytes() == expected.tobytes()
+        assert np.array(list(aggregate(row).values())).tobytes() == expected.tobytes()
+    assert list(aggregate(rows[0])) == list(CROSS_AGGS)

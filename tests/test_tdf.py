@@ -298,3 +298,15 @@ def test_lcm_rows_reject_non_finite(bad):
     with pytest.raises(ParameterError, match="grid values must be finite"):
         least_concave_majorant_rows(rows)
     assert np.array_equal(rows, before, equal_nan=True)  # no row was projected
+
+
+@pytest.mark.parametrize("row", [
+    [0.0, 0.1, math.nan, 0.2, 0.0],
+    [0.0, 0.1, math.inf, 0.2, 0.0],  # used to come back as the Frechet bound
+    [0.0, 0.1, -math.inf, 0.2, 0.0],  # used to drop out of the hull
+    [0.0, -math.inf, 0.3, math.inf, 0.0],
+])
+def test_lcm_rejects_non_finite(row):
+    tdf = TailDependenceFunction(4, np.array(row), TDFKind.EMPIRICAL)
+    with pytest.raises(ParameterError, match="grid values must be finite"):
+        least_concave_majorant(tdf)
