@@ -202,6 +202,8 @@ def rolling_estimate(
     step: int = 1,
     config: EstimatorConfig = EstimatorConfig(),
     out: np.ndarray | None = None,
+    *,
+    windows: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> RollingEstimate:
     """Estimate over rolling windows [t, t + window) for t = 0, step, 2*step, ...
 
@@ -209,6 +211,8 @@ def rolling_estimate(
     containing NaN in either series is skipped and reported in ``skipped``.
     ``out``, if given, is a C-contiguous (windows, grid_size + 1) array that
     receives the estimates, one row per window that is not skipped.
+    ``windows``, if given, is ``window_starts(x, y, window, step)``, which a
+    caller that sized ``out`` by it need not have computed twice.
 
     A window that only drops and adds a point strictly beyond the previous
     window's k-th value in both series has the previous window's corners, so
@@ -219,7 +223,7 @@ def rolling_estimate(
     y_arr = np.asarray(y, dtype=float)
     if x_arr.ndim != 1 or y_arr.ndim != 1 or x_arr.size != y_arr.size:
         raise DataError("x and y must be one-dimensional and equally long")
-    starts, skipped = window_starts(x_arr, y_arr, window, step)
+    starts, skipped = window_starts(x_arr, y_arr, window, step) if windows is None else windows
     k = config.resolve_k(window)
     shape = (starts.size, config.grid_size + 1)
     if out is None:

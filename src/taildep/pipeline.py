@@ -116,12 +116,12 @@ def run_pairs(
     series = [_pair_series(panel, base, other, config.window) for other in others]
     # One array for the windows of all pairs; each pair's estimates land in
     # their block directly.
-    sizes = [len(window_starts(x, y, config.window, config.step)[0]) for x, y in series]
-    offsets = np.cumsum([0, *sizes])
+    windows = [window_starts(x, y, config.window, config.step) for x, y in series]
+    offsets = np.cumsum([0, *(len(starts) for starts, _ in windows)])
     curves = np.empty((offsets[-1], config.grid_size + 1))
     estimates = [
         rolling_estimate(x, y, config.window, config.step, estimator,
-                         out=curves[offsets[j]:offsets[j + 1]])
+                         out=curves[offsets[j]:offsets[j + 1]], windows=windows[j])
         for j, (x, y) in enumerate(series)
     ]
     first, index = _distinct_rows(curves)

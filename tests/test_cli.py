@@ -295,3 +295,35 @@ def test_unknown_pair_member_exits_two(prices_csv, tmp_path, capsys):
     rc = main(["estimate", "--returns", str(ret), "--pair", "BASE,ZZZ",
                "--window", "8"])
     assert rc == 2
+
+
+
+def _with_blank_column(name: str) -> str:
+    """PRICES with a column ``name`` of blank cells between BASE and AAA."""
+    header, *rows = PRICES.splitlines()
+    cells = [row.split(",") for row in rows]
+    return "\n".join([header.replace(",AAA", f",{name},AAA")] +
+                     [f"{d},{base},,{aaa}" for d, base, aaa in cells]) + "\n"
+
+
+@pytest.mark.parametrize("name", ["", " "])
+def test_report_rejects_empty_ticker_name_exit_2(tmp_path, capsys, name):
+    # Without the check, the unnamed column became pairs/BASE_.csv.
+    prices = tmp_path / "prices.csv"
+    prices.write_text(_with_blank_column(name))
+    out_dir = tmp_path / "run"
+    rc = main(["report", "--prices", str(prices), "--base", "BASE",
+               "--window", "8", "--grid", "4", "--out-dir", str(out_dir)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: wide CSV header: column 3 has an empty ticker name\n"
+    assert not out_dir.exists()
+
+
+def test_report_names_a_series_without_observations(tmp_path, capsys):
+    # Column A is all blank and not among --tickers; the stats still cover it.
+    prices = tmp_path / "prices.csv"
+    prices.write_text(_with_blank_column("A"))
+    rc = main(["report", "--prices", str(prices), "--base", "BASE", "--tickers", "AAA",
+               "--window", "8", "--grid", "4", "--out-dir", str(tmp_path / "run")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: series 'A' has no valid observations\n"

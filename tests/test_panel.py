@@ -2,14 +2,24 @@
 
 import math
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from taildep.errors import DataError
 from taildep.panel import (
     CROSS_AGGS,
+    SERIES_STATS,
+    WIDE as WIDE_FORMAT,
     ReturnPanel,
     _parse_cell,
+    _read_prices,
+    _Reread,
+    _series_stats,
     aggregate,
     aggregate_rows,
     load_prices,
@@ -133,6 +143,98 @@ def test_bad_cell_after_valid_cells_is_row_numbered(tmp_path, cell, before):
     assert str(exc.value) == f"row 3: unparseable price {cell.strip()!r}"
 
 
+def _outcome(read, path):
+    """What a reader makes of a file: the panel's dates, tickers and value
+    bytes (NaN sign bits included), or its DataError message."""
+    try:
+        panel = read(path)
+    except DataError as exc:
+        return "error", str(exc)
+    return panel.dates, panel.tickers, panel.values.tobytes()
+
+
+def _per_row(path):
+    return _read_prices(path, WIDE_FORMAT, fast=False)
+
+
+def _fast_only(path):
+    return _read_prices(path, WIDE_FORMAT, fast=True)
+
+
+CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(min_value=0.01, max_value=1e4).map(lambda x: f"{x:.10f}"),
+    st.sampled_from(["", "NA", " na ", "nan", "-nan", "NaN", "inf", "-Infinity",
+                     " 1.5 ", "\t2", "  ", "1_000", '"2.5"', '"1,5"', "-0.0", "1e500"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n_tickers=st.integers(1, 4), n_rows=st.integers(1, 5),
+       newline=st.sampled_from(["\n", "\r\n", "\r"]), final_newline=st.booleans())
+def test_fast_wide_reader_equals_per_row_reader(data, n_tickers, n_rows, newline, final_newline):
+    rows = [data.draw(st.lists(CELLS, min_size=n_tickers, max_size=n_tickers)) for _ in range(n_rows)]
+    lines = ["date," + ",".join(f"T{j}" for j in range(n_tickers))]
+    lines += [f"2020-01-{i + 1:02d}," + ",".join(row) for i, row in enumerate(rows)]
+    text = newline.join(lines) + (newline if final_newline else "")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "prices.csv"
+        path.write_bytes(text.encode())
+        expected = _outcome(_per_row, path)
+        assert _outcome(load_prices, path) == expected
+        try:
+            fast = _outcome(_fast_only, path)
+        except _Reread:
+            return
+    # A file the fast reader takes whole must give the per-row reader's panel.
+    assert fast == expected and fast[0] != "error"
+
+
+def test_fast_wide_reader_takes_plain_and_gappy_rows(tmp_path):
+    # Blank, NA and nan cells go to the per-row parser inside the fast reader;
+    # padding, infinities and CRLF endings go through numpy.  No re-read.
+    p = tmp_path / "prices.csv"
+    p.write_bytes(b"date,A,B,C\r\n2020-01-01, 1.5 ,inf,-0.0\r\n2020-01-02,,NA,-nan\r\n"
+                  b"2020-01-03,2,1e500,3\r\n2020-01-04,nan,2.5,\r\n")
+    fast = _outcome(_fast_only, p)
+    assert fast == _outcome(_per_row, p)
+    assert fast[0] == ("2020-01-01", "2020-01-02", "2020-01-03", "2020-01-04")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("date,A,B\n2020-01-01,1.0,2.0\n2020-01-02,1.0\n", "row 3: expected 3 cells, found 2"),
+    ("date,A,B\n2020-01-01,1.0,2.0,3.0\n", "row 2: expected 3 cells, found 4"),
+    ("date,A\n2020-01-01,1\n\n2020-01-02,2\n", "row 3: expected 2 cells, found 0"),
+    ("date,A\n2020-01-01,1\n01/02/2020,2\n",
+     "row 3: unparseable date '01/02/2020' (expected ISO YYYY-MM-DD)"),
+    ("date,A\n2020-01-02,1\n2020-01-01,2\n",
+     "row 3: dates must be strictly increasing (2020-01-01 after 2020-01-02)"),
+    ("date,A\n2020-01-02,1\n2020-01-02,2\n",
+     "row 3: dates must be strictly increasing (2020-01-02 after 2020-01-02)"),
+    ("date,A,B\n2020-01-01,1.0,2.0\n2020-01-02,1.0,x\n", "row 3: unparseable price 'x'"),
+    ('date,A,B\n2020-01-01,1.0,"2,5"\n', "row 2: unparseable price '2,5'"),
+    ("date,A\n", "no data rows"),
+    ("date,A", "no data rows"),
+])
+def test_wide_errors_keep_their_messages(tmp_path, text, message):
+    p = tmp_path / "bad.csv"
+    p.write_bytes(text.encode())
+    with pytest.raises(DataError) as exc:
+        load_prices(p, fmt="wide")
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("header", ["date,BASE,,B", "date,BASE, ,B", "date,BASE,B,"])
+def test_wide_rejects_empty_ticker_names(tmp_path, header):
+    p = tmp_path / "prices.csv"
+    p.write_text(header + "\n2020-01-01,1.0,2.0,3.0\n")
+    column = [cell.strip() for cell in header.split(",")].index("") + 1
+    for fast in (True, False):
+        with pytest.raises(DataError) as exc:
+            _read_prices(p, WIDE_FORMAT, fast)
+        assert str(exc.value) == f"wide CSV header: column {column} has an empty ticker name"
+
+
 def test_unknown_format_rejected(wide_csv):
     with pytest.raises(DataError):
         load_prices(wide_csv, fmt="tall")
@@ -232,3 +334,36 @@ def test_aggregate_rows_equal_one_statistic_at_a_time(n):
         assert out.tobytes() == expected.tobytes()
         assert np.array(list(aggregate(row).values())).tobytes() == expected.tobytes()
     assert list(aggregate(rows[0])) == list(CROSS_AGGS)
+
+
+def test_summary_stats_batched_by_mask_equal_series_stats():
+    # Columns share or differ in their missing dates; each one's statistics
+    # and the cross-section must have the bits of the one-series functions.
+    rng = np.random.default_rng(7)
+    values = rng.standard_normal((40, 7))
+    values[3, [1, 4]] = np.nan
+    values[10, 2] = np.inf
+    values[[0, 5, 6], 5] = np.nan
+    values[:39, 6] = np.nan  # one observation left
+    values[:, 0] = np.round(values[:, 0])  # ties, +-0.0 among them
+    values[2, 0] = -0.0
+    tickers = tuple(f"T{j}" for j in range(values.shape[1]))
+    panel = ReturnPanel(tuple(f"d{i}" for i in range(len(values))), tickers, values)
+    stats = summary_stats(panel)
+    for j, t in enumerate(tickers):
+        expected = _series_stats(values[:, j])
+        assert list(stats["per_series"][t]) == list(SERIES_STATS)
+        assert np.array(list(stats["per_series"][t].values())).tobytes() == \
+            np.array(list(expected.values())).tobytes()
+    for stat in SERIES_STATS:
+        expected = aggregate(np.array([_series_stats(values[:, j])[stat] for j in range(len(tickers))]))
+        assert np.array(list(stats["cross_section"][stat].values())).tobytes() == \
+            np.array(list(expected.values())).tobytes()
+
+
+def test_summary_stats_names_the_series_without_observations():
+    values = np.array([[1.0, np.nan, np.nan], [2.0, np.nan, np.inf], [3.0, np.nan, np.nan]])
+    panel = ReturnPanel(("d1", "d2", "d3"), ("A", "B", "C"), values)
+    with pytest.raises(DataError) as exc:
+        summary_stats(panel)
+    assert str(exc.value) == "series 'B' has no valid observations"
