@@ -28,7 +28,6 @@ from .estimator import (
     EstimatorConfig,
     RankedSample,
     RollingEstimate,
-    empirical_tail_2d,
     empirical_tdf,
     ranks,
     rolling_estimate,
@@ -36,7 +35,6 @@ from .estimator import (
 from .measures import (
     MeasureValue,
     average_tail_dependence,
-    combine,
     ev_copula,
     extremal_dependence,
     lp_norm,

@@ -28,8 +28,6 @@ from .pipeline import run_pair  # noqa: F401  (perfbench/tracing.py wraps it her
 from .simulate import CopulaSpec, sample
 from .tdf import TailDependenceFunction
 
-_ENVELOPE_MEASURES = {"linf": "max_td", "l1": "avg_td"}
-
 
 def _write_json(data, path: str | None) -> None:
     text = json.dumps(data, indent=2, sort_keys=True) + "\n"
@@ -195,16 +193,15 @@ def _cmd_envelope(args) -> None:
                      "min": lo, "max": hi, "exact": True}, args.out)
         return
     pins = [(0.5, args.tdc / 2.0)]
-    if args.measure.startswith("point:"):
+    key, sep, text = args.measure.partition(":")
+    if args.measure != "l1" and not (key == "point" and sep):
+        raise TailDepError("--measure must be linf, l1, or point:<s0>")
+    measure, s0 = meas.MEASURES[key].name, None
+    if sep:
         try:
-            measure, s0 = "point_eval", float(args.measure.split(":", 1)[1])
+            s0 = float(text)
         except ValueError:
             raise ConfigError(f"--measure {args.measure!r} needs a number after 'point:'") from None
-    else:
-        try:
-            measure, s0 = _ENVELOPE_MEASURES[args.measure], None
-        except KeyError:
-            raise TailDepError("--measure must be linf, l1, or point:<s0>") from None
     result = measure_range(pins, measure, grid_size=args.grid, s0=s0,
                            normalization=args.normalization)
     _write_json(result.to_dict(), args.out)
@@ -257,6 +254,11 @@ def _cmd_report(args) -> None:
         "windows_per_pair": {rep.other: len(rep.starts) for rep in reports},
         "skipped_windows": {rep.other: list(rep.skipped) for rep in reports},
     }
+    # stats.json covers only the series the report uses, in panel order.
+    used = [t for t in returns.tickers if t == args.base or t in others]
+    if len(used) < len(returns.tickers):
+        returns = ReturnPanel(returns.dates, tuple(used),
+                              np.column_stack([returns.column(t) for t in used]))
     write_run(args.out_dir, reports, cross, manifest, stats=summary_stats(returns))
     print(f"wrote run directory {args.out_dir}: {len(reports)} pairs")
 
@@ -279,6 +281,10 @@ def main(argv=None) -> int:
         _COMMANDS[args.command](args)
     except TailDepError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # an output path that cannot be written
+        print(f"error: cannot write {exc.filename or 'output'}: {exc.strerror or exc}",
+              file=sys.stderr)
         return 2
     return 0
 

@@ -15,8 +15,8 @@ together from a sliding-window view, and only each window's k corner points
 are ranked (``np.partition`` along axis 1 finds the k-th value, the points
 below it and the first points equal to it form the corner, and a stable sort
 of those k orders them).  The corner points fill a (k+1) x (k+1) cumulative
-count table that is read at the integer thresholds.  Rows match
-``empirical_tdf`` exactly.
+count table that is read at the integer thresholds.  ``empirical_tdf`` is
+the same computation on one window.
 
 With step 1, most windows are not ranked at all: window j is then window
 j - 1 less its first point and plus one new point.  When both of those
@@ -42,7 +42,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DataError, ParameterError
-from .tdf import DEFAULT_GRID_SIZE, TailDependenceFunction, TDFKind, from_grid, upper_bound
+from .tdf import DEFAULT_GRID_SIZE, TailDependenceFunction, TDFKind, upper_bound
 
 LOWER = "lower"
 UPPER = "upper"
@@ -60,7 +60,6 @@ class RankedSample:
     n: int
     rank_x: np.ndarray = field(repr=False)
     rank_y: np.ndarray = field(repr=False)
-    tie_policy: str = "stable"
 
 
 @dataclass(frozen=True)
@@ -111,48 +110,20 @@ def _stable_ranks(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def empirical_tail_2d(sample: RankedSample, k: int, x: float, y: float) -> float:
-    """Empirical tail copula at one quadrant point (x, y >= 0)."""
-    if k < 1 or k > sample.n:
-        raise ConfigError(f"k must be in [1, n]; got k={k}, n={sample.n}")
-    if x < 0.0 or y < 0.0:
-        raise ParameterError("tail copula arguments must be >= 0")
-    tx = math.floor(k * x)
-    ty = math.floor(k * y)
-    count = int(np.sum((sample.rank_x <= tx) & (sample.rank_y <= ty)))
-    return count / k
-
-
 def empirical_tdf(sample: RankedSample, config: EstimatorConfig = EstimatorConfig()) -> TailDependenceFunction:
     """Estimate the tail dependence function on the simplex grid.
 
     Grid node i carries Lhat(s_i, 1 - s_i) with thresholds floor(k*i/m) and
     floor(k*(m-i)/m); endpoints are exactly zero.  The result is EMPIRICAL
-    (bounds hold by construction, concavity is not enforced).
+    (bounds hold by construction, concavity is not enforced).  A one-window
+    call of ``_window_estimates`` on the ranks as floats; ranks are distinct,
+    so its corner is the points with both ranks <= k (reflected if upper).
     """
-    n, m = sample.n, config.grid_size
-    k = config.resolve_k(n)
-    rx, ry = sample.rank_x, sample.rank_y
-    if config.tail == UPPER:
-        rx = n + 1 - rx
-        ry = n + 1 - ry
-
-    # Only points with both ranks <= k can ever be counted.
-    in_corner = (rx <= k) & (ry <= k)
-    cx = rx[in_corner]
-    cy = ry[in_corner]
-
-    i = np.arange(m + 1)
-    tx = (k * i) // m  # floor(k * i / m), exact in integers
-    ty = (k * (m - i)) // m
-    counts = np.sum((cx[:, None] <= tx) & (cy[:, None] <= ty), axis=0)
-    values = counts / k
-    values[0] = 0.0
-    values[m] = 0.0
-
-    out = from_grid(values, enforce_concavity=False)
-    assert isinstance(out, TailDependenceFunction)
-    return out
+    k = config.resolve_k(sample.n)
+    out = np.empty((1, config.grid_size + 1))
+    _window_estimates(sample.rank_x.astype(float), sample.rank_y.astype(float),
+                      np.zeros(1, dtype=np.intp), sample.n, k, config, out)
+    return TailDependenceFunction(config.grid_size, out[0], TDFKind.EMPIRICAL)
 
 
 @dataclass(frozen=True)
@@ -237,13 +208,9 @@ def rolling_estimate(
 
 
 def _window_estimates(x, y, starts, window, k, config, out) -> None:
-    """``empirical_tdf`` of every window [t, t + window), t in starts, into rows of out.
-
-    Row j is a copy of row j - 1 when window j is window j - 1 moved by one
-    point and both the dropped and the added point lie strictly beyond window
-    j - 1's k-th value in x and in y (the module docstring says why that is
-    exact); every other window is ranked and counted.
-    """
+    """The estimate of every window [t, t + window), t in starts, into rows of
+    out; a window with the corners of the one before copies its row, as the
+    module docstring says."""
     m = config.grid_size
     i = np.arange(m + 1)
     tx = (k * i) // m
@@ -318,17 +285,15 @@ def _corner_counts(xs, ys, k: int, tail: str, kth_x, kth_y) -> np.ndarray:
     return table.cumsum(axis=1).cumsum(axis=2)
 
 
-def _corner_order(values: np.ndarray, k: int, tail: str, kth=None) -> np.ndarray:
+def _corner_order(values: np.ndarray, k: int, tail: str, kth: np.ndarray) -> np.ndarray:
     """The first k columns of each row's stable argsort, or for the upper tail
     of its reverse (largest first, later positions first among ties).
 
     The corner is every point below the row's k-th smallest value plus the
     first points equal to it, as many as fit; a stable sort of those k values,
     taken in position order, orders them.  The upper tail is the lower tail of
-    the negated row read backwards.  ``kth``, if given, is ``_kth``'s result.
+    the negated row read backwards.  ``kth`` is ``_kth``'s result.
     """
-    if kth is None:
-        kth = _kth(values, k, tail)
     if tail == UPPER:
         return values.shape[1] - 1 - _corner_order(-values[:, ::-1], k, LOWER, kth)
     n = values.shape[1]

@@ -242,10 +242,3 @@ class SimplexSolver:
             j = int(np.flatnonzero(below | above)[0])
             raise SolverError(f"simplex vertex breaks the bounds of variable {j}")
 
-
-def solve_lp(c, A, b, lower, upper, maximize: bool = True) -> LPSolution:
-    """One-shot convenience wrapper around SimplexSolver."""
-    solver = SimplexSolver(A, b, lower, upper)
-    c = np.asarray(c, dtype=float)
-    sol = solver.solve(c if maximize else -c)
-    return LPSolution(sol.x, sol.value if maximize else -sol.value, sol.iterations)

@@ -7,13 +7,14 @@ simplex) and ``doubled`` (exactly 2x raw, so the comonotone value is 1 and the
 scale matches the coefficient).
 
 ``measure_rows`` measures many curves at once, by the names the report and
-the ``measures`` command use; see the table at the end of the module.
+the ``measures`` command use; see the table at the end of the module.  Each
+one-curve function is a one-row call of its row function there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -23,7 +24,8 @@ from .tdf import TailDependenceFunction
 RAW = "raw"
 DOUBLED = "doubled"
 
-# Each grid cell is split into 4 subintervals for composite Simpson quadrature.
+# Each grid cell is split into 4 subintervals for composite Simpson quadrature,
+# so the kinks of the piecewise-linear function sit on quadrature breakpoints.
 SIMPSON_REFINEMENT = 4
 
 
@@ -58,34 +60,31 @@ def scale_factor(normalization: str) -> float:
 
 def tdc(tdf: TailDependenceFunction) -> MeasureValue:
     """Tail dependence coefficient, 2 * L(1/2); in [0, 1]."""
-    return MeasureValue("tdc", 2.0 * tdf.eval(0.5))
+    return _measure(tdf, "tdc")
 
 
 def point_eval(tdf: TailDependenceFunction, s0: float) -> MeasureValue:
     """L evaluated at a single simplex point s0 in [0, 1]."""
-    return MeasureValue("point_eval", tdf.eval(s0), params={"s0": float(s0)})
+    return _measure(tdf, "point", arg=s0, params={"s0": float(s0)})
 
 
 def max_tail_dependence(tdf: TailDependenceFunction, normalization: str = RAW) -> MeasureValue:
     """Sup of L over the simplex; exact for the piecewise-linear representation."""
-    value = scale_factor(normalization) * float(np.max(tdf.values))
-    return MeasureValue("max_td", value, normalization)
+    return _measure(tdf, "linf", normalization)
 
 
 def average_tail_dependence(tdf: TailDependenceFunction, normalization: str = RAW) -> MeasureValue:
     """Integral of L over [0, 1] (trapezoid; exact for piecewise-linear)."""
-    v = tdf.values
-    integral = (v.sum() - 0.5 * (v[0] + v[-1])) / tdf.grid_size
-    return MeasureValue("avg_td", scale_factor(normalization) * float(integral), normalization)
+    return _measure(tdf, "l1", normalization)
 
 
 def lp_norm(tdf: TailDependenceFunction, p: float, normalization: str = RAW) -> MeasureValue:
-    """(integral of L^p)^(1/p) for finite p >= 1 (the sup case is max_td)."""
-    if not np.isfinite(p) or p < 1.0:
-        raise ParameterError("lp_norm requires finite p >= 1")
-    integral = _simpson(tdf, lambda t: t ** p)
-    value = scale_factor(normalization) * integral ** (1.0 / p)
-    return MeasureValue("lp_norm", value, normalization, params={"p": float(p)})
+    """(integral of L^p)^(1/p) for finite p >= 1 (the sup case is max_td).
+
+    Computed as M * (integral of (L / M)^p)^(1/p) with M the maximum of L, so
+    the value stays positive for a nonzero L at any p.
+    """
+    return _measure(tdf, "lp", normalization, p, {"p": float(p)})
 
 
 def spearman_ev(tdf: TailDependenceFunction) -> MeasureValue:
@@ -94,14 +93,21 @@ def spearman_ev(tdf: TailDependenceFunction) -> MeasureValue:
     Equals 12 * integral (2 - L(s))^-2 ds - 3; 0 for the zero function, 1 for
     the comonotone one.  Quadrature error is far below the 1e-8 contract.
     """
-    integral = _simpson(tdf, lambda t: (2.0 - t) ** -2)
-    return MeasureValue("spearman_ev", 12.0 * integral - 3.0)
+    return _measure(tdf, "spearman_ev")
 
 
 def extremal_dependence(tdf: TailDependenceFunction) -> MeasureValue:
     """Coefficient lam / (2 - lam) built from the tail dependence coefficient."""
-    lam = tdc(tdf).value
-    return MeasureValue("extremal_dep", lam / (2.0 - lam))
+    return _measure(tdf, "extremal_dep")
+
+
+def _measure(tdf, key: str, normalization: str = RAW, arg=None, params=None) -> MeasureValue:
+    """The ``MEASURES[key]`` row function on the one row of ``tdf``."""
+    measure = MEASURES[key]
+    arg = arg if measure.check is None else measure.check(arg)
+    row = np.array(tdf.values, dtype=float, ndmin=2)
+    value = measure.rows(row, scale_factor(normalization), arg)[0]
+    return MeasureValue(measure.name, float(value), normalization, params or {})
 
 
 def ev_copula(tdf: TailDependenceFunction, u, v):
@@ -126,38 +132,12 @@ def ev_copula(tdf: TailDependenceFunction, u, v):
     return float(out) if scalar or out.ndim == 0 else out
 
 
-def combine(f: Callable[..., float], parts: list[MeasureValue], name: str = "combined") -> MeasureValue:
-    """Apply a scalar function to already-computed measure values."""
-    if not parts:
-        raise ParameterError("combine needs at least one measure value")
-    return MeasureValue(name, float(f(*[p.value for p in parts])))
-
-
-def _simpson(tdf: TailDependenceFunction, integrand: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Composite Simpson over a refinement of the grid.
-
-    Each grid cell is split into SIMPSON_REFINEMENT subintervals so that the
-    kinks of the piecewise-linear function sit on quadrature breakpoints.
-    """
-    m = tdf.grid_size
-    n_sub = m * SIMPSON_REFINEMENT
-    s = np.arange(n_sub + 1) / n_sub
-    g = integrand(np.interp(s, tdf.grid, tdf.values))
-    h = 1.0 / n_sub
-    weights = np.full(n_sub + 1, 2.0)
-    weights[1::2] = 4.0
-    weights[0] = weights[-1] = 1.0
-    return float(h / 3.0 * np.dot(weights, g))
-
-
 # -- many curves at once ------------------------------------------------------
 #
-# Curves come as a (rows, m + 1) array of grid values, one curve per row.  Each
-# row function repeats the float operations of its one-curve counterpart above
-# in the same order, and reduces only along the contiguous last axis of a
-# C-contiguous array (numpy sums a Fortran-ordered array along axis 1 in a
-# different order), so each row's value equals the one-curve measure bit for
-# bit.
+# Curves come as a (rows, m + 1) array of grid values, one curve per row.  Row
+# functions reduce only along the contiguous last axis of a C-contiguous array
+# (numpy sums a Fortran-ordered array along axis 1 in another order), so a
+# row's value has the same bits however many rows are measured with it.
 
 # Rows measured together; bounds the (rows, 4m + 1) quadrature temporaries.
 MEASURE_CHUNK_ROWS = 64
@@ -210,9 +190,12 @@ def _extremal_rows(v, scale, arg):
 
 
 def _lp_rows(v, scale, p):
-    integral = _simpson_rows(v, lambda t: t ** p)
-    # Python's float power, as in lp_norm; numpy's array power may round differently.
-    return np.array([scale * x ** (1.0 / p) for x in integral.tolist()])
+    # M * (integral of (L / M)^p)^(1/p), M the row maximum: L^p itself
+    # underflows to 0 at large p.  A zero row gives 0.
+    top = v.max(axis=1)
+    integral = _simpson_rows(v / np.where(top > 0.0, top, 1.0)[:, None], lambda t: t ** p)
+    # Python's float power: numpy's array power may round differently.
+    return scale * top * np.array([x ** (1.0 / p) for x in integral.tolist()])
 
 
 def _point_rows(v, scale, s0):
@@ -231,17 +214,22 @@ def _check_s0(s0: float) -> float:
     return s0
 
 
-# Measure names of the report and the ``measures`` command.  Plain names map to
-# a row function; ``lp:<p>`` and ``point:<s0>`` carry a number checked by the
-# second entry.
+class Measure(NamedTuple):
+    rows: Callable  # (curves, scale, argument) -> one value per row
+    check: Callable | None  # validates the number after "name:"; None: takes none
+    name: str  # the MeasureValue name, which is also the envelope measure name
+
+
+# Measure names of the report and the ``measures`` command.  ``lp:<p>`` and
+# ``point:<s0>`` carry a number; the other names take none.
 MEASURES = {
-    "tdc": (_tdc_rows, None),
-    "l1": (_l1_rows, None),
-    "linf": (_linf_rows, None),
-    "spearman_ev": (_spearman_rows, None),
-    "extremal_dep": (_extremal_rows, None),
-    "lp": (_lp_rows, _check_p),
-    "point": (_point_rows, _check_s0),
+    "tdc": Measure(_tdc_rows, None, "tdc"),
+    "l1": Measure(_l1_rows, None, "avg_td"),
+    "linf": Measure(_linf_rows, None, "max_td"),
+    "spearman_ev": Measure(_spearman_rows, None, "spearman_ev"),
+    "extremal_dep": Measure(_extremal_rows, None, "extremal_dep"),
+    "lp": Measure(_lp_rows, _check_p, "lp_norm"),
+    "point": Measure(_point_rows, _check_s0, "point_eval"),
 }
 
 
@@ -249,7 +237,7 @@ def parse_measure(name: str):
     """(row function, argument) for a measure name; ConfigError if unknown or malformed."""
     key, sep, text = name.partition(":")
     try:
-        fn, check = MEASURES[key]
+        fn, check, _ = MEASURES[key]
     except KeyError:
         raise ConfigError(f"unknown measure {name!r}") from None
     if check is None:

@@ -264,31 +264,12 @@ def log_returns(panel: ReturnPanel) -> ReturnPanel:
     return ReturnPanel(panel.dates[1:], panel.tickers, rets)
 
 
-def _quantile(values: np.ndarray, q: float) -> float:
-    # Linear interpolation of order statistics: position (n - 1) * q, 0-based.
-    return float(np.quantile(values, q, method="linear"))
-
-
-def _series_stats(values: np.ndarray) -> dict[str, float]:
-    clean = values[np.isfinite(values)]
-    if clean.size == 0:
-        raise DataError("a series has no valid observations")
-    return {
-        "mean": float(np.mean(clean)),
-        "median": float(np.median(clean)),
-        "st_dev": float(np.std(clean, ddof=1)) if clean.size > 1 else 0.0,
-        "minimum": float(np.min(clean)),
-        "maximum": float(np.max(clean)),
-        "q05": _quantile(clean, 0.05),
-        "q95": _quantile(clean, 0.95),
-    }
-
-
 def series_stats_rows(values: np.ndarray) -> np.ndarray:
-    """``_series_stats`` of every row of a finite 2-D array, as (rows, SERIES_STATS).
+    """The SERIES_STATS of every row of a finite 2-D array, as (rows, SERIES_STATS).
 
     Reductions run along the last axis of a C-contiguous array, where numpy
-    sums in the same order as for one series, so each row matches exactly.
+    sums in the same order as for one series, so a row's statistics do not
+    depend on the rows stacked with it.  Quantiles interpolate linearly.
     """
     a = np.ascontiguousarray(values, dtype=float)
     n = a.shape[1]
@@ -309,7 +290,7 @@ def series_stats_rows(values: np.ndarray) -> np.ndarray:
 
 def aggregate_rows(values: np.ndarray) -> np.ndarray:
     """The CROSS_AGGS of each row of a (statistics, series) array, as
-    (rows, CROSS_AGGS); each row equals ``aggregate`` of it bit for bit.
+    (rows, CROSS_AGGS).
 
     Every reduction runs along the last axis of a C-contiguous array, and
     each quantile takes its own ``np.quantile`` call: one call with several
@@ -321,11 +302,6 @@ def aggregate_rows(values: np.ndarray) -> np.ndarray:
     return np.column_stack([q05, q10, np.mean(a, axis=1), np.median(a, axis=1), q90, q95])
 
 
-def aggregate(values: np.ndarray) -> dict[str, float]:
-    """The CROSS_AGGS of one statistic across series, in that order."""
-    return dict(zip(CROSS_AGGS, aggregate_rows(np.reshape(values, (1, -1)))[0].tolist()))
-
-
 def summary_stats(panel: ReturnPanel) -> dict:
     """Per-series statistics plus their cross-sectional aggregation.
 
@@ -333,8 +309,8 @@ def summary_stats(panel: ReturnPanel) -> dict:
     {stat: {agg: value}}}; aggregations run over tickers for each statistic.
     Series missing the same dates are stacked as the rows of
     ``series_stats_rows`` calls, and all statistics are aggregated by one
-    ``aggregate_rows`` call; each value has the bits of ``_series_stats`` and
-    ``aggregate``.
+    ``aggregate_rows`` call; each value has the bits of the same statistic
+    computed on one series.
     """
     finite = np.isfinite(panel.values)
     groups: dict[bytes, list[int]] = {}  # columns by their finite mask

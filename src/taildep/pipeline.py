@@ -10,10 +10,10 @@ byte.
 The work is batch-first.  The windows of all pairs are stacked into one
 C-contiguous (windows, m + 1) array; the projection, the measures and the
 bands run over its rows, and every reduction runs along a contiguous last
-axis, which numpy sums in the same order as a single curve.  Each row is
-therefore bit-identical to the one-window composition of ``empirical_tdf``,
-``least_concave_majorant``, the ``measures`` functions and
-``linf_range_given_tdc``, which remain the one-curve API.
+axis, which numpy sums in the same order as a single curve, so a row's
+result does not depend on the rows stacked with it.  ``empirical_tdf``,
+``least_concave_majorant`` and the ``measures`` functions are one-row calls
+of these kernels; the loops in ``tests/reference.py`` are their oracle.
 Windows one step apart often give bitwise-equal rows, so every stage after the
 estimator runs once per run of equal consecutive rows and is expanded back by
 index; a row's result depends only on its bits, so the output is unchanged.

@@ -259,36 +259,19 @@ def least_concave_majorant(tdf: TailDependenceFunction) -> TailDependenceFunctio
 
     The result is the upper convex hull of the grid points, clipped at
     min(s, 1 - s); it is VALIDATED, idempotent on validated inputs, and
-    monotone in the pointwise order.  Every value must be finite.
+    monotone in the pointwise order.  Every value must be finite.  A one-row
+    call of ``least_concave_majorant_rows``.
     """
-    m = tdf.grid_size
-    s = tdf.grid
-    v = tdf.values
-    if not np.isfinite(v).all():
-        raise ParameterError("grid values must be finite")
-    # Upper hull, left to right: keep the chain turning clockwise.
-    hull: list[int] = []
-    for i in range(m + 1):
-        while len(hull) >= 2:
-            i0, i1 = hull[-2], hull[-1]
-            # Drop i1 when it lies on or below the chord i0 -> i.
-            if (v[i1] - v[i0]) * (s[i] - s[i0]) <= (v[i] - v[i0]) * (s[i1] - s[i0]):
-                hull.pop()
-            else:
-                break
-        hull.append(i)
-    majorant = np.interp(s, s[hull], v[hull])
-    majorant = np.minimum(majorant, upper_bound(m))
-    return _build(majorant, "least_concave_majorant")
+    values = np.array(tdf.values, dtype=float, ndmin=2)
+    least_concave_majorant_rows(values)
+    return _build(values[0], "least_concave_majorant")
 
 
 def least_concave_majorant_rows(values: np.ndarray) -> None:
-    """Overwrite each row of a C-contiguous (rows, m + 1) array with its projection.
-
-    The row form of ``least_concave_majorant``: the same monotone chain runs
-    column by column with one stack per row, the interpolation repeats
-    ``np.interp``'s arithmetic, and the clipping is ``from_grid``'s, so every
-    row equals the one-curve result bit for bit.  Every value must be finite.
+    """Overwrite each row of a C-contiguous (rows, m + 1) array with its
+    ``least_concave_majorant``: a monotone chain runs column by column with
+    one stack per row, the interpolation repeats ``np.interp``'s arithmetic,
+    and the clipping is ``from_grid``'s.  Every value must be finite.
 
     The chain scans only the points where a row changes level: a point equal
     to both its neighbours is never a hull vertex, and it pops nothing that
@@ -395,8 +378,7 @@ def _project_chunk(v: np.ndarray) -> None:
             v_lo[moved] = v[moved, i]
             hi[moved] = stack[moved, pos[moved]]
             slope[moved] = (v[moved, hi[moved]] - v_lo[moved]) / (s[hi[moved]] - s[i])
-    # least_concave_majorant's minimum with the bound, then from_grid's clip;
-    # the clip alone gives the same values.
+    # from_grid's clip to [0, min(s, 1 - s)], and exact zero endpoints.
     np.clip(v, 0.0, upper_bound(m), out=v)
     v[:, 0] = 0.0
     v[:, m] = 0.0

@@ -1,8 +1,9 @@
-"""The batched report path equals the one-curve composition, bit for bit.
+"""The batch kernels equal the one-curve loops of ``reference.py``, bit for bit.
 
-Every window row of ``run_pairs`` must be ``==`` to empirical_tdf(ranks(window))
--> least_concave_majorant -> measures.* / linf_range_given_tdc, and every
-per-date cross-section row to ``_series_stats`` of that date's column.
+Every window row of ``run_pairs`` must be ``==`` to the reference estimate of
+its window -> projection -> measures / band, and every per-date cross-section
+row to the reference statistics of that date's column.  The public one-curve
+functions are one-row calls of the kernels and are checked the same way.
 """
 
 import numpy as np
@@ -10,12 +11,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import reference
 from taildep import estimator
 from taildep import measures as meas
-from taildep.envelope import linf_range_given_tdc
 from taildep.errors import ConfigError, DataError, DomainError, ParameterError
-from taildep.estimator import EstimatorConfig, _corner_order, empirical_tdf, ranks, rolling_estimate
-from taildep.panel import ReturnPanel, _series_stats, series_stats_rows
+from taildep.estimator import EstimatorConfig, _corner_order, _kth, empirical_tdf, ranks, rolling_estimate
+from taildep.panel import ReturnPanel, series_stats_rows
 from taildep.pipeline import CROSS_STATS, PipelineConfig, cross_section, run_pairs
 from taildep.tdf import (
     TailDependenceFunction,
@@ -30,22 +31,15 @@ NAMES = ("tdc", "l1", "linf", "spearman_ev", "extremal_dep",
          "lp:1", "lp:2.5", "point:0", "point:0.3", "point:1")
 
 
-def scalar_measure(tdf, name, normalization):
-    """The one-curve value of a report measure name."""
-    key, _, arg = name.partition(":")
-    if key == "tdc":
-        return meas.tdc(tdf).value
-    if key == "l1":
-        return meas.average_tail_dependence(tdf, normalization).value
-    if key == "linf":
-        return meas.max_tail_dependence(tdf, normalization).value
-    if key == "spearman_ev":
-        return meas.spearman_ev(tdf).value
-    if key == "extremal_dep":
-        return meas.extremal_dependence(tdf).value
-    if key == "lp":
-        return meas.lp_norm(tdf, float(arg), normalization).value
-    return meas.point_eval(tdf, float(arg)).value
+def reference_window(x, y, config):
+    """The reference estimate of one window under an EstimatorConfig."""
+    return reference.window_tdf(x, y, config.resolve_k(len(x)), config.grid_size, config.tail)
+
+
+def stats_list(values):
+    """The reference statistics of one series, in CROSS_STATS order."""
+    stats = reference.series_stats(values)
+    return [stats[k] for k in CROSS_STATS]
 
 
 @st.composite
@@ -86,7 +80,7 @@ def _joint_ok(panel, other, window):
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(panels())
-def test_batched_report_equals_scalar_composition(case):
+def test_batched_report_equals_reference_composition(case):
     panel, config = case
     others = [t for t in panel.tickers[1:] if _joint_ok(panel, t, config.window)]
     reports = run_pairs(panel, "BASE", others, config, NAMES)
@@ -101,14 +95,14 @@ def test_batched_report_equals_scalar_composition(case):
         assert list(rep.skipped) == [t for t in starts if t not in clean]
         for j, start in enumerate(clean):
             stop = start + config.window
-            tdf = empirical_tdf(ranks(x[start:stop], y[start:stop]), est_config)
+            curve = reference_window(x[start:stop], y[start:stop], est_config)
             if config.project:
-                tdf = least_concave_majorant(tdf)
-            assert np.array_equal(rep.curves[j], tdf.values)
+                curve = reference.projection(curve)
+            assert np.array_equal(rep.curves[j], curve)
             assert rep.end_dates[j] == panel.dates[stop - 1]
             for col, name in enumerate(NAMES):
-                assert rep.values[j, col] == scalar_measure(tdf, name, config.normalization), name
-            band = linf_range_given_tdc(meas.tdc(tdf).value, config.normalization)
+                assert rep.values[j, col] == reference.measure(curve, name, config.normalization), name
+            band = reference.band(reference.measure(curve, "tdc"), config.normalization)
             assert tuple(rep.linf_bounds[j]) == band
 
     if reports and all(rep.end_dates == reports[0].end_dates for rep in reports):
@@ -120,8 +114,7 @@ def test_batched_report_equals_scalar_composition(case):
         for col, name in enumerate(NAMES):
             matrix = np.array([rep.values[:, col] for rep in reports])
             for t in range(matrix.shape[1]):
-                expected = _series_stats(matrix[:, t])
-                assert cross["per_date"][name][t].tolist() == [expected[k] for k in CROSS_STATS]
+                assert cross["per_date"][name][t].tolist() == stats_list(matrix[:, t])
 
 
 def _corner_data(rng, kind, shape):
@@ -166,7 +159,8 @@ def test_corner_order_is_the_stable_order_prefix(tail, kind, window, k):
     values = _corner_data(rng, kind, (64, window))
     if kind == "tied_at_kth":
         values = _tie_at_kth(rng, values, k, tail)
-    assert np.array_equal(_corner_order(values, k, tail), _stable_prefix(values, k, tail))
+    assert np.array_equal(_corner_order(values, k, tail, _kth(values, k, tail)),
+                          _stable_prefix(values, k, tail))
     if kind != "continuous" and k < window:
         # Ties straddle the corner boundary: some row has more than k points
         # at or beyond its k-th value.
@@ -189,8 +183,7 @@ def test_rolling_rows_equal_one_window_with_ties(tail, kind, window, k):
     assert len(rolling) == 31
     for start, row in zip(rolling.starts, rolling.values):
         stop = start + window
-        expected = empirical_tdf(ranks(x[start:stop], y[start:stop]), config)
-        assert np.array_equal(row, expected.values)
+        assert np.array_equal(row, reference_window(x[start:stop], y[start:stop], config))
 
 
 def _reuse_data(rng, kind, tail, n):
@@ -257,8 +250,7 @@ def test_rolling_rows_reuse_only_windows_with_the_same_corners(tail, kind, step,
     assert len(rolling) > 10 and (len(rolling.skipped) > 0) == gap
     for start, row in zip(rolling.starts.tolist(), rolling.values):
         stop = start + window
-        expected = empirical_tdf(ranks(x[start:stop], y[start:stop]), config)
-        assert np.array_equal(row, expected.values)
+        assert np.array_equal(row, reference_window(x[start:stop], y[start:stop], config))
     k_eff = config.resolve_k(window)
     if step > 1 or k_eff == window:
         assert sum(counted) == len(rolling)  # nothing lies strictly beyond the largest value
@@ -301,8 +293,7 @@ def test_projection_rows_equal_one_curve(m):
     projected = grids.copy()
     least_concave_majorant_rows(projected)
     for raw, row in zip(grids, projected):
-        expected = least_concave_majorant(TailDependenceFunction(m, raw, TDFKind.EMPIRICAL))
-        assert np.array_equal(row, expected.values)
+        assert np.array_equal(row, reference.projection(raw))
 
 
 def _runs(rng, m, heights):
@@ -355,8 +346,7 @@ def test_projection_rows_skipping_flat_runs_equal_one_curve(m, kind):
     projected = grids.copy()
     least_concave_majorant_rows(projected)
     for raw, row in zip(grids, projected):
-        expected = least_concave_majorant(TailDependenceFunction(m, raw, TDFKind.EMPIRICAL))
-        assert np.array_equal(row, expected.values)
+        assert np.array_equal(row, reference.projection(raw))
 
 
 def _full_scan_rows(rng, m):
@@ -387,8 +377,7 @@ def test_projection_rows_flagged_for_full_scan_equal_one_curve(m):
     projected = grids.copy()
     least_concave_majorant_rows(projected)
     for raw, row in zip(grids, projected):
-        expected = least_concave_majorant(TailDependenceFunction(m, raw, TDFKind.EMPIRICAL))
-        assert np.array_equal(row, expected.values)
+        assert np.array_equal(row, reference.projection(raw))
 
 
 def test_projection_rows_needs_c_order():
@@ -400,11 +389,10 @@ def test_projection_rows_needs_c_order():
 @pytest.mark.parametrize("normalization", ["raw", "doubled"])
 def test_measure_rows_equal_one_curve(m, normalization):
     rng = np.random.default_rng(m)
-    tdfs = [make_random_tdf(rng, grid_size=m) for _ in range(150)]
-    curves = np.array([f.values for f in tdfs])
+    curves = np.array([make_random_tdf(rng, grid_size=m).values for _ in range(150)])
     values = meas.measure_rows(curves, NAMES, normalization)
-    for f, row in zip(tdfs, values):
-        assert row.tolist() == [scalar_measure(f, name, normalization) for name in NAMES]
+    for curve, row in zip(curves, values):
+        assert row.tolist() == [reference.measure(curve, name, normalization) for name in NAMES]
 
 
 def test_fortran_ordered_rows_still_exact():
@@ -412,18 +400,15 @@ def test_fortran_ordered_rows_still_exact():
     drifted l1 by an ulp or two on most windows.  The row functions must put
     rows in C order before any reduction."""
     rng = np.random.default_rng(2001)
-    tdfs = [make_random_tdf(rng, grid_size=200) for _ in range(300)]
-    fortran = np.asfortranarray(np.array([f.values for f in tdfs]))
-    values = meas.measure_rows(fortran, ("l1", "spearman_ev", "lp:2"), "doubled")
-    for f, row in zip(tdfs, values):
-        assert row[0] == meas.average_tail_dependence(f, "doubled").value
-        assert row[1] == meas.spearman_ev(f).value
-        assert row[2] == meas.lp_norm(f, 2.0, "doubled").value
+    curves = np.array([make_random_tdf(rng, grid_size=200).values for _ in range(300)])
+    names = ("l1", "spearman_ev", "lp:2")
+    values = meas.measure_rows(np.asfortranarray(curves), names, "doubled")
+    for curve, row in zip(curves, values):
+        assert row.tolist() == [reference.measure(curve, name, "doubled") for name in names]
     columns = np.asfortranarray(rng.standard_normal((60, 49)))
     stats = series_stats_rows(columns)
     for series, row in zip(columns, stats):
-        expected = _series_stats(np.array(series))
-        assert row.tolist() == [expected[k] for k in CROSS_STATS]
+        assert row.tolist() == stats_list(np.array(series))
 
 
 def test_measure_names_fail_cleanly():
@@ -435,3 +420,52 @@ def test_measure_names_fail_cleanly():
         meas.measure_rows(curves, ("lp:0.5",))
     with pytest.raises(DomainError):
         meas.measure_rows(curves, ("point:1.5",))
+
+
+# -- the one-curve functions are one-row calls of the kernels ------------------
+
+@pytest.mark.parametrize("tail", ["lower", "upper"])
+@pytest.mark.parametrize("kind", ["continuous", "integer", "copies"])
+@pytest.mark.parametrize("m", [2, 20, 200])
+def test_empirical_tdf_equals_reference(tail, kind, m):
+    rng = np.random.default_rng([m, len(kind), len(tail)])
+    for n in (2, 3, 10, 57, 300):
+        x, y = _corner_data(rng, kind, (2, n))
+        y = np.floor(y + x) if kind == "integer" else y + x
+        for k in sorted({1, max(1, int(np.sqrt(n))), n // 2 or 1, n}):
+            config = EstimatorConfig(k=k, grid_size=m, tail=tail)
+            est = empirical_tdf(ranks(x, y), config)
+            assert est.kind is TDFKind.EMPIRICAL
+            assert np.array_equal(est.values, reference_window(x, y, config))
+
+
+@pytest.mark.parametrize("m", [2, 7, 200])
+def test_least_concave_majorant_equals_reference(m):
+    rng = np.random.default_rng(m)
+    grids = [_lattice_grid(rng, m, d) for d in (2, 16, 1000) for _ in range(20)]
+    grids += [_concave_pieces(rng, m) for _ in range(20)]
+    for raw in grids:
+        tdf = least_concave_majorant(TailDependenceFunction(m, raw, TDFKind.EMPIRICAL))
+        assert tdf.kind is TDFKind.VALIDATED
+        assert np.array_equal(tdf.values, reference.projection(raw))
+
+
+@pytest.mark.parametrize("normalization", ["raw", "doubled"])
+def test_scalar_measures_equal_reference(normalization):
+    rng = np.random.default_rng(5)
+    for m in (2, 3, 50, 200):
+        for _ in range(10):
+            f = make_random_tdf(rng, grid_size=m)
+            cases = [
+                (meas.tdc(f), "tdc", "tdc", "raw", {}),
+                (meas.point_eval(f, 0.3), "point:0.3", "point_eval", "raw", {"s0": 0.3}),
+                (meas.max_tail_dependence(f, normalization), "linf", "max_td", normalization, {}),
+                (meas.average_tail_dependence(f, normalization), "l1", "avg_td", normalization, {}),
+                (meas.lp_norm(f, 2.5, normalization), "lp:2.5", "lp_norm", normalization,
+                 {"p": 2.5}),
+                (meas.spearman_ev(f), "spearman_ev", "spearman_ev", "raw", {}),
+                (meas.extremal_dependence(f), "extremal_dep", "extremal_dep", "raw", {}),
+            ]
+            for got, report_name, name, norm, params in cases:
+                value = reference.measure(f.values, report_name, norm)
+                assert got == meas.MeasureValue(name, value, norm, params), report_name

@@ -1,6 +1,7 @@
 """Command line entry points, run through main() with captured output."""
 
 import csv
+import errno
 import json
 import math
 import os
@@ -319,11 +320,55 @@ def test_report_rejects_empty_ticker_name_exit_2(tmp_path, capsys, name):
     assert not out_dir.exists()
 
 
-def test_report_names_a_series_without_observations(tmp_path, capsys):
-    # Column A is all blank and not among --tickers; the stats still cover it.
+def test_report_stats_skip_a_column_the_report_does_not_use(tmp_path, capsys):
+    # Column A is all blank and not among --tickers: stats.json leaves it out.
     prices = tmp_path / "prices.csv"
     prices.write_text(_with_blank_column("A"))
     rc = main(["report", "--prices", str(prices), "--base", "BASE", "--tickers", "AAA",
                "--window", "8", "--grid", "4", "--out-dir", str(tmp_path / "run")])
+    assert rc == 0
+    stats = read_json(tmp_path / "run" / "stats.json")
+    assert set(stats["per_series"]) == {"BASE", "AAA"}
+
+
+def test_report_names_a_series_without_observations(tmp_path, capsys):
+    # A --tickers series with no observations still fails the report.
+    prices = tmp_path / "prices.csv"
+    prices.write_text(_with_blank_column("A"))
+    rc = main(["report", "--prices", str(prices), "--base", "BASE", "--tickers", "AAA,A",
+               "--window", "8", "--grid", "4", "--out-dir", str(tmp_path / "run")])
     assert rc == 2
-    assert capsys.readouterr().err == "error: series 'A' has no valid observations\n"
+    assert capsys.readouterr().err == (
+        "error: pair (BASE, A) has 0 joint observations; window 8 needs at least that many\n")
+
+
+def test_report_stats_with_every_ticker_listed_equal_the_default(prices_csv, tmp_path):
+    args = ["report", "--prices", str(prices_csv), "--base", "BASE", "--window", "8", "--grid", "4"]
+    assert main(args + ["--out-dir", str(tmp_path / "all")]) == 0
+    assert main(args + ["--tickers", "AAA", "--out-dir", str(tmp_path / "listed")]) == 0
+    assert (tmp_path / "all" / "stats.json").read_bytes() == \
+        (tmp_path / "listed" / "stats.json").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["report", "ingest", "stats", "estimate", "envelope", "simulate"])
+def test_unwritable_output_exits_2_naming_the_path(prices_csv, tmp_path, capsys, command):
+    # An existing file where the command needs a directory.
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    argv = {
+        "report": ["report", "--prices", str(prices_csv), "--base", "BASE", "--window", "8",
+                   "--grid", "4", "--out-dir", str(blocker)],
+        "ingest": ["ingest", "--prices", str(prices_csv)],
+        "stats": ["stats", "--returns", str(prices_csv)],
+        "estimate": ["estimate", "--returns", str(prices_csv), "--pair", "BASE,AAA",
+                     "--window", "8", "--grid", "4"],
+        "envelope": ["envelope", "--tdc", "0.5"],
+        "simulate": ["simulate", "--family", "independence", "--n", "10"],
+    }[command]
+    if command != "report":
+        argv += ["--out", str(blocker / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    path, reason = ((blocker / "pairs", os.strerror(errno.ENOTDIR)) if command == "report"
+                    else (blocker, os.strerror(errno.EEXIST)))
+    assert err == f"error: cannot write {path}: {reason}\n"

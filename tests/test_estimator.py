@@ -9,7 +9,6 @@ from taildep.errors import ConfigError, DataError, ParameterError
 from taildep.estimator import (
     EstimatorConfig,
     RankedSample,
-    empirical_tail_2d,
     empirical_tdf,
     ranks,
     rolling_estimate,
@@ -30,7 +29,6 @@ def test_ranks_ties_are_stable():
     r = ranks([1.0, 1.0, 1.0], [3.0, 2.0, 2.0])
     assert list(r.rank_x) == [1, 2, 3]
     assert list(r.rank_y) == [3, 1, 2]
-    assert r.tie_policy == "stable"
 
 
 def test_ranks_rejects_mismatch_and_nan():
@@ -40,12 +38,14 @@ def test_ranks_rejects_mismatch_and_nan():
         ranks([1.0, np.nan], [1.0, 2.0])
 
 
-def test_empirical_tail_2d_hand_count():
-    # 4 points, k = 2, thresholds floor(2x) and floor(2y).
-    r = ranks([0.1, 0.9, 2.0, 0.4], [5.0, 1.0, 3.0, 2.0])
-    # x = y = 1: ranks <= 2 in both coordinates: point 4 only (rx=2, ry=2)
-    assert empirical_tail_2d(r, k=2, x=1.0, y=1.0) == pytest.approx(0.5)
-    assert empirical_tail_2d(r, k=2, x=0.0, y=1.0) == 0.0
+def test_empirical_tdf_hand_count():
+    # 4 points, k = 4, m = 4: node i counts x-ranks <= i and y-ranks <= 4 - i.
+    r = ranks([0.1, 0.9, 2.0, 0.4], [5.0, 1.0, 3.0, 2.0])  # (1,4) (3,1) (4,3) (2,2)
+    est = empirical_tdf(r, EstimatorConfig(k=4, grid_size=4))
+    assert est.values.tolist() == [0.0, 0.0, 0.25, 0.25, 0.0]  # (2,2), then (3,1)
+    # Upper tail: reflected ranks 5 - r, (4,1) (2,4) (1,2) (3,3).
+    upper = empirical_tdf(r, EstimatorConfig(k=4, grid_size=4, tail="upper"))
+    assert upper.values.tolist() == [0.0, 0.25, 0.25, 0.0, 0.0]  # (1,2) at nodes 1 and 2
 
 
 def test_empirical_tdf_endpoints_and_kind():

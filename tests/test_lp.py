@@ -14,7 +14,7 @@ from scipy.optimize import linprog
 
 import taildep.lp
 from taildep.errors import InfeasibleError, SolverError, TailDepError, UnboundedError
-from taildep.lp import SimplexSolver, solve_lp
+from taildep.lp import SimplexSolver
 
 
 def scipy_max(c, A, b, lower, upper):
@@ -36,14 +36,14 @@ def random_problem(rng, n, m):
 
 def test_simple_box_problem():
     # max x + y inside the unit square with x + y <= 1.5
-    sol = solve_lp([1.0, 1.0], [[1.0, 1.0]], [1.5], [0.0, 0.0], [1.0, 1.0])
+    sol = SimplexSolver([[1.0, 1.0]], [1.5], [0.0, 0.0], [1.0, 1.0]).solve([1.0, 1.0])
     assert sol.value == pytest.approx(1.5)
     assert sol.x.sum() == pytest.approx(1.5)
 
 
 def test_binding_upper_bounds():
     # no rows at all: optimum sits at the box corner
-    sol = solve_lp([2.0, -3.0], np.zeros((0, 2)), [], [-1.0, -1.0], [4.0, 5.0])
+    sol = SimplexSolver(np.zeros((0, 2)), [], [-1.0, -1.0], [4.0, 5.0]).solve([2.0, -3.0])
     assert sol.value == pytest.approx(2.0 * 4.0 + 3.0 * 1.0)
     assert sol.x == pytest.approx([4.0, -1.0])
 
@@ -54,7 +54,7 @@ def test_matches_scipy_on_random_problems():
         n = int(rng.integers(2, 9))
         m = int(rng.integers(1, 13))
         c, A, b, lower, upper = random_problem(rng, n, m)
-        ours = solve_lp(c, A, b, lower, upper)
+        ours = SimplexSolver(A, b, lower, upper).solve(c)
         ref = scipy_max(c, A, b, lower, upper)
         assert ours.value == pytest.approx(ref, abs=1e-7), f"trial {trial}"
         # the reported point must be feasible and achieve the value
@@ -66,7 +66,7 @@ def test_matches_scipy_on_random_problems():
 
 def test_phase1_needed_when_origin_infeasible():
     # -x <= -1 forces x >= 1 while the box alone would start at x = 0
-    sol = solve_lp([-1.0], [[-1.0]], [-1.0], [0.0, ], [5.0])
+    sol = SimplexSolver([[-1.0]], [-1.0], [0.0, ], [5.0]).solve([-1.0])
     assert sol.value == pytest.approx(-1.0)
     assert sol.x[0] == pytest.approx(1.0)
 
@@ -74,19 +74,19 @@ def test_phase1_needed_when_origin_infeasible():
 def test_infeasible_detected():
     # x <= -1 contradicts x >= 0
     with pytest.raises(InfeasibleError):
-        solve_lp([1.0], [[1.0]], [-1.0], [0.0], [2.0])
+        SimplexSolver([[1.0]], [-1.0], [0.0], [2.0]).solve([1.0])
 
 
 def test_infeasible_pair_of_rows():
     A = [[1.0, 1.0], [-1.0, -1.0]]
     b = [1.0, -3.0]  # x + y <= 1 and x + y >= 3
     with pytest.raises(InfeasibleError):
-        solve_lp([1.0, 0.0], A, b, [0.0, 0.0], [10.0, 10.0])
+        SimplexSolver(A, b, [0.0, 0.0], [10.0, 10.0]).solve([1.0, 0.0])
 
 
 def test_unbounded_detected():
     with pytest.raises(UnboundedError):
-        solve_lp([1.0], np.zeros((0, 1)), [], [0.0], [np.inf])
+        SimplexSolver(np.zeros((0, 1)), [], [0.0], [np.inf]).solve([1.0])
 
 
 def test_degenerate_problem_terminates():
@@ -94,7 +94,7 @@ def test_degenerate_problem_terminates():
     n = 6
     A = np.vstack([np.eye(n), np.eye(n) * 2.0, np.ones((1, n))])
     b = np.concatenate([np.ones(n), np.ones(n) * 2.0, [float(n)]])
-    sol = solve_lp(np.ones(n), A, b, np.zeros(n), np.full(n, 10.0))
+    sol = SimplexSolver(A, b, np.zeros(n), np.full(n, 10.0)).solve(np.ones(n))
     assert sol.value == pytest.approx(float(n))
 
 
@@ -110,8 +110,7 @@ def test_warm_restart_across_objectives():
 
 def test_equality_via_tight_box():
     # pin x = 0.7 through lower == upper
-    sol = solve_lp([1.0, 1.0], [[1.0, 1.0]], [1.0],
-                   [0.7, 0.0], [0.7, 1.0])
+    sol = SimplexSolver([[1.0, 1.0]], [1.0], [0.7, 0.0], [0.7, 1.0]).solve([1.0, 1.0])
     assert sol.x[0] == pytest.approx(0.7)
     assert sol.value == pytest.approx(1.0)
 
@@ -120,7 +119,7 @@ def test_singular_pivot_raises_solver_error(monkeypatch):
     # phase 1 pivots the artificial in at magnitude 1, below this tolerance
     monkeypatch.setattr(taildep.lp, "TOL_PIV", 10.0)
     with pytest.raises(SolverError, match="singular pivot") as info:
-        solve_lp([-1.0], [[-1.0]], [-1.0], [0.0], [5.0])
+        SimplexSolver([[-1.0]], [-1.0], [0.0], [5.0]).solve([-1.0])
     assert isinstance(info.value, TailDepError)
     assert isinstance(info.value, RuntimeError)
 
@@ -131,10 +130,10 @@ def test_vertex_breaking_a_row_raises_solver_error(monkeypatch):
     extract = SimplexSolver._extract
     monkeypatch.setattr(SimplexSolver, "_extract", lambda self: extract(self) + 1e-6)
     with pytest.raises(SolverError, match="breaks row 0 by 2.000e-06"):
-        solve_lp([1.0, 1.0], [[1.0, 1.0]], [1.5], [0.0, 0.0], [1.0, 1.0])
+        SimplexSolver([[1.0, 1.0]], [1.5], [0.0, 0.0], [1.0, 1.0]).solve([1.0, 1.0])
     # Within TOL_FEAS of the row's scale the vertex passes.
     monkeypatch.setattr(SimplexSolver, "_extract", lambda self: extract(self) + 1e-9)
-    sol = solve_lp([1.0, 1.0], [[1.0, 1.0]], [1.5], [0.0, 0.0], [1.0, 1.0])
+    sol = SimplexSolver([[1.0, 1.0]], [1.5], [0.0, 0.0], [1.0, 1.0]).solve([1.0, 1.0])
     assert sol.value == pytest.approx(1.5)
 
 
@@ -142,7 +141,7 @@ def test_vertex_breaking_a_bound_raises_solver_error(monkeypatch):
     extract = SimplexSolver._extract
     monkeypatch.setattr(SimplexSolver, "_extract", lambda self: extract(self) - [0.0, 1e-6])
     with pytest.raises(SolverError, match="bounds of variable 1"):
-        solve_lp([1.0, -1.0], [[1.0, 1.0]], [1.5], [0.0, 0.0], [1.0, 1.0])
+        SimplexSolver([[1.0, 1.0]], [1.5], [0.0, 0.0], [1.0, 1.0]).solve([1.0, -1.0])
 
 
 def test_unscaled_cutting_plane_master_raises_solver_error():

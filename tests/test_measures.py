@@ -15,7 +15,6 @@ from taildep.measures import (
     RAW,
     MeasureValue,
     average_tail_dependence,
-    combine,
     ev_copula,
     extremal_dependence,
     lp_norm,
@@ -25,7 +24,7 @@ from taildep.measures import (
     spearman_ev,
     tdc,
 )
-from taildep.tdf import comonotone, from_grid, independence, parabola, tent
+from taildep.tdf import clayton, comonotone, from_grid, independence, parabola, tent
 
 from conftest import make_random_tdf
 
@@ -92,6 +91,16 @@ def test_l2_norm_parabola():
     # integral of (s - s^2)^2 is 1/30; refined grid keeps the bias tiny
     f = parabola(grid_size=1000)
     assert float(lp_norm(f, 2.0)) == pytest.approx((1.0 / 30.0) ** 0.5, abs=1e-6)
+
+
+@pytest.mark.parametrize("f, floor", [(comonotone(200), 0.49), (clayton(1.0, 200), 0.24)])
+def test_lp_norm_at_large_p_approaches_the_sup(f, floor):
+    # max(L)^p underflows from p ~ 1000 on; the value must not fall to 0.
+    values = [lp_norm(f, p).value for p in (500, 1000, 1100, 1e4, 1e6)]
+    assert values == sorted(values)
+    assert values[-1] <= max_tail_dependence(f).value
+    assert values[0] > floor
+    assert lp_norm(independence(200), 1e6).value == 0.0
 
 
 def test_lp_norm_requires_p_at_least_one(top):
@@ -216,11 +225,3 @@ def test_measure_value_float_and_dict(top):
     d = mv.to_dict()
     assert d["name"] == "tdc"
     assert d["value"] == mv.value
-
-
-def test_combine_applies_function(top):
-    a = point_eval(top, 0.25)
-    b = point_eval(top, 0.75)
-    s = combine(lambda x, y: x + y, [a, b], name="sum")
-    assert s.value == pytest.approx(0.5)
-    assert s.name == "sum"

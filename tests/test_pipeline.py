@@ -6,11 +6,9 @@ import re
 import numpy as np
 import pytest
 
-from taildep import measures as meas
-from taildep.envelope import linf_range_given_tdc
+import reference
 from taildep.errors import ConfigError, DataError
-from taildep.estimator import empirical_tdf, ranks
-from taildep.panel import ReturnPanel, _series_stats
+from taildep.panel import ReturnPanel
 from taildep.pipeline import (
     CROSS_STATS,
     PairReport,
@@ -20,9 +18,9 @@ from taildep.pipeline import (
     run_pairs,
     write_run,
 )
-from taildep.tdf import TDFKind, least_concave_majorant
+from taildep.tdf import TDFKind
 
-from test_batch import NAMES, scalar_measure
+from test_batch import NAMES, reference_window, stats_list
 
 
 def toy_panel(n=300, seed=0, tickers=("BASE", "A", "B")):
@@ -150,9 +148,9 @@ def coupled_panel(n, seed=0):
 
 
 def reports_against_one_window_composition(panel, others, config):
-    """run_pairs, checked window by window against empirical_tdf ->
-    least_concave_majorant -> measures / band; returns the reports and the
-    raw one-window estimates stacked as run_pairs stacks them."""
+    """run_pairs, checked window by window against the reference estimate ->
+    projection -> measures / band; returns the reports and the raw one-window
+    estimates stacked as run_pairs stacks them."""
     reports = run_pairs(panel, "BASE", others, config, NAMES)
     x = panel.column("BASE")
     raw = []
@@ -160,14 +158,14 @@ def reports_against_one_window_composition(panel, others, config):
         y = panel.column(rep.other)
         for j, start in enumerate(rep.starts.tolist()):
             stop = start + config.window
-            tdf = empirical_tdf(ranks(x[start:stop], y[start:stop]), config.estimator())
-            raw.append(tdf.values)
+            curve = reference_window(x[start:stop], y[start:stop], config.estimator())
+            raw.append(curve)
             if config.project:
-                tdf = least_concave_majorant(tdf)
-            assert rep.curves[j].tobytes() == tdf.values.tobytes()
+                curve = reference.projection(curve)
+            assert rep.curves[j].tobytes() == curve.tobytes()
             for col, name in enumerate(NAMES):
-                assert rep.values[j, col] == scalar_measure(tdf, name, config.normalization), name
-            band = linf_range_given_tdc(meas.tdc(tdf).value, config.normalization)
+                assert rep.values[j, col] == reference.measure(curve, name, config.normalization), name
+            band = reference.band(reference.measure(curve, "tdc"), config.normalization)
             assert tuple(rep.linf_bounds[j]) == band
     return reports, np.array(raw).reshape(-1, config.grid_size + 1)
 
@@ -190,8 +188,8 @@ def test_equal_windows_within_and_across_pairs(project):
     cross = cross_section(reports)
     for col, name in enumerate(NAMES):
         for t in range(51):
-            expected = _series_stats(np.array([rep.values[t, col] for rep in reports]))
-            assert cross["per_date"][name][t].tolist() == [expected[k] for k in CROSS_STATS]
+            assert cross["per_date"][name][t].tolist() == \
+                stats_list(np.array([rep.values[t, col] for rep in reports]))
 
 
 def test_one_window_per_pair():
