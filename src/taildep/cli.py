@@ -26,7 +26,7 @@ from .panel import LONG, WIDE, ReturnPanel, load_prices, log_returns, summary_st
 from .pipeline import DEFAULT_MEASURES, PipelineConfig, cross_section, format_float, run_pairs, write_run
 from .pipeline import run_pair  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .simulate import CopulaSpec, sample
-from .tdf import TailDependenceFunction
+from .tdf import TailDependenceFunction, TDFKind
 
 
 def _write_json(data, path: str | None) -> None:
@@ -154,15 +154,14 @@ def _cmd_estimate(args) -> None:
         raise TailDepError("--pair needs two comma-separated tickers")
     cfg = EstimatorConfig(k=args.k, grid_size=args.grid, tail=args.tail)
     rolling = rolling_estimate(panel.column(first), panel.column(second), args.window, args.step, cfg)
+    # Each window's "tdf" is what TailDependenceFunction.to_json gives for its row.
+    rows = [{"kind": TDFKind.EMPIRICAL.value, "m": args.grid, "values": row}
+            for row in rolling.rows.tolist()]
     payload = {
         "pair": [first, second],
         "windows": [
-            {
-                "start": start,
-                "end_date": panel.dates[start + args.window - 1],
-                "tdf": json.loads(tdf.to_json()),
-            }
-            for start, tdf in rolling
+            {"start": start, "end_date": panel.dates[start + args.window - 1], "tdf": rows[run]}
+            for start, run in zip(rolling.starts.tolist(), rolling.index.tolist())
         ],
         "skipped": list(rolling.skipped),
     }

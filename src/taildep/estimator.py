@@ -24,19 +24,23 @@ points lie strictly beyond window j - 1's k-th value in x and in y (above it
 for the lower tail, below it for the upper), the two windows have the same
 k-th values and the same corner points, in the same relative position
 order.  Their stable corner ranks, count tables and rows are then the same,
-and row j is copied from row j - 1.  A point equal to the k-th value (0.0
+and window j joins window j - 1's run.  A point equal to the k-th value (0.0
 and -0.0 are equal) can decide which of the tied points fill the corner, so
 it sends the window to the full computation, as does a window that is not
 the one before moved by one point (step > 1, or skipped windows in
 between).  Every window still gets its k-th values, from one
 ``np.partition`` per window and series.
+
+Estimates come in runs, not copies: the distinct rows and each window's
+run.  A computed row starts a run only when its bits differ from the row
+before it, so runs are maximal; the later stages of the report read this
+index and decide no runs of their own.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -120,50 +124,36 @@ def empirical_tdf(sample: RankedSample, config: EstimatorConfig = EstimatorConfi
     so its corner is the points with both ranks <= k (reflected if upper).
     """
     k = config.resolve_k(sample.n)
-    out = np.empty((1, config.grid_size + 1))
-    _window_estimates(sample.rank_x.astype(float), sample.rank_y.astype(float),
-                      np.zeros(1, dtype=np.intp), sample.n, k, config, out)
-    return TailDependenceFunction(config.grid_size, out[0], TDFKind.EMPIRICAL)
+    rows, _ = _window_estimates(sample.rank_x.astype(float), sample.rank_y.astype(float),
+                                np.zeros(1, dtype=np.intp), sample.n, k, config)
+    return TailDependenceFunction(config.grid_size, rows[0], TDFKind.EMPIRICAL)
 
 
 @dataclass(frozen=True)
 class RollingEstimate:
-    """Per-window estimates plus the starts of windows skipped for missing data.
+    """Per-window estimates in runs, plus the starts of windows skipped for
+    missing data.
 
-    Row j of ``values`` is the EMPIRICAL grid estimate of the window that
-    starts at ``starts[j]``.  Iterating yields (start index, estimate) pairs in
-    window order.
+    The window that starts at ``starts[j]`` has the EMPIRICAL grid estimate
+    ``rows[index[j]]``.  ``rows`` holds each run of equal consecutive
+    estimates once, and consecutive rows differ in their bits; ``index`` is
+    non-decreasing, starts at 0 and steps by 0 or 1.
     """
 
     starts: np.ndarray = field(repr=False)
-    values: np.ndarray = field(repr=False)
+    rows: np.ndarray = field(repr=False)  # (runs, grid_size + 1)
+    index: np.ndarray = field(repr=False)  # (windows,) run of each window
     skipped: tuple[int, ...]
 
     @property
-    def windows(self) -> tuple[tuple[int, TailDependenceFunction], ...]:
-        return tuple(self)
-
-    def __iter__(self) -> Iterator[tuple[int, TailDependenceFunction]]:
-        m = self.values.shape[1] - 1
-        for start, row in zip(self.starts.tolist(), self.values):
-            yield start, TailDependenceFunction(m, row, TDFKind.EMPIRICAL)
+    def values(self) -> np.ndarray:
+        """One row per window, ``rows[index]``, expanded on each access (read-only)."""
+        values = self.rows[self.index]
+        values.setflags(write=False)
+        return values
 
     def __len__(self) -> int:
         return len(self.starts)
-
-
-def window_starts(x: np.ndarray, y: np.ndarray, window: int, step: int) -> tuple[np.ndarray, np.ndarray]:
-    """Starts t = 0, step, ... of the windows [t, t + window), split into the
-    windows without and with a non-finite value in either series."""
-    n = x.size
-    if window < 2 or window > n:
-        raise DataError(f"window must be in [2, n]; got window={window}, n={n}")
-    if step < 1:
-        raise ParameterError("step must be >= 1")
-    starts = np.arange(0, n - window + 1, step)
-    bad = np.concatenate([[0], np.cumsum(~(np.isfinite(x) & np.isfinite(y)))])
-    has_bad = bad[starts + window] > bad[starts]
-    return starts[~has_bad], starts[has_bad]
 
 
 def rolling_estimate(
@@ -172,45 +162,44 @@ def rolling_estimate(
     window: int,
     step: int = 1,
     config: EstimatorConfig = EstimatorConfig(),
-    out: np.ndarray | None = None,
-    *,
-    windows: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> RollingEstimate:
     """Estimate over rolling windows [t, t + window) for t = 0, step, 2*step, ...
 
     Produces floor((n - window) / step) + 1 window positions.  A window
     containing NaN in either series is skipped and reported in ``skipped``.
-    ``out``, if given, is a C-contiguous (windows, grid_size + 1) array that
-    receives the estimates, one row per window that is not skipped.
-    ``windows``, if given, is ``window_starts(x, y, window, step)``, which a
-    caller that sized ``out`` by it need not have computed twice.
+    The estimates of the other windows come in runs of bitwise-equal
+    consecutive rows: ``rows`` holds each run once and ``index`` gives each
+    window's run, so ``values`` is ``rows[index]``.
 
     A window that only drops and adds a point strictly beyond the previous
     window's k-th value in both series has the previous window's corners, so
-    its row is copied, not computed (the module docstring says why that is
-    exact); with step 1 that is most windows.
+    it joins that window's run without being computed (the module docstring
+    says why that is exact); with step 1 that is most windows.
     """
     x_arr = np.asarray(x, dtype=float)
     y_arr = np.asarray(y, dtype=float)
     if x_arr.ndim != 1 or y_arr.ndim != 1 or x_arr.size != y_arr.size:
         raise DataError("x and y must be one-dimensional and equally long")
-    starts, skipped = window_starts(x_arr, y_arr, window, step) if windows is None else windows
-    k = config.resolve_k(window)
-    shape = (starts.size, config.grid_size + 1)
-    if out is None:
-        out = np.empty(shape)
-    elif out.shape != shape or not out.flags.c_contiguous:
-        raise ParameterError(f"out must be a C-contiguous array of shape {shape}")
-    _window_estimates(x_arr, y_arr, starts, window, k, config, out)
-    values = out.view()
-    values.setflags(write=False)
-    return RollingEstimate(starts, values, tuple(skipped.tolist()))
+    n = x_arr.size
+    if window < 2 or window > n:
+        raise DataError(f"window must be in [2, n]; got window={window}, n={n}")
+    if step < 1:
+        raise ParameterError("step must be >= 1")
+    positions = np.arange(0, n - window + 1, step)
+    bad = np.concatenate([[0], np.cumsum(~(np.isfinite(x_arr) & np.isfinite(y_arr)))])
+    has_bad = bad[positions + window] > bad[positions]
+    starts = positions[~has_bad]
+    rows, index = _window_estimates(x_arr, y_arr, starts, window, config.resolve_k(window), config)
+    rows.setflags(write=False)
+    return RollingEstimate(starts, rows, index, tuple(positions[has_bad].tolist()))
 
 
-def _window_estimates(x, y, starts, window, k, config, out) -> None:
-    """The estimate of every window [t, t + window), t in starts, into rows of
-    out; a window with the corners of the one before copies its row, as the
-    module docstring says."""
+def _window_estimates(x, y, starts, window, k, config) -> tuple[np.ndarray, np.ndarray]:
+    """The estimates of the windows [t, t + window), t in starts, as runs: the
+    distinct rows and each window's run (non-decreasing from 0).  A window
+    with the corners of the one before joins its run, as the module docstring
+    says; a computed row starts a new run only if its bits differ from the
+    row before it."""
     m = config.grid_size
     i = np.arange(m + 1)
     tx = (k * i) // m
@@ -223,6 +212,9 @@ def _window_estimates(x, y, starts, window, k, config, out) -> None:
     kth_y = np.empty(starts.size)
     follows = np.zeros(starts.size, dtype=bool)  # window j is window j - 1 moved by one point
     follows[1:] = starts[1:] == starts[:-1] + 1
+    new_run = np.zeros(starts.size, dtype=bool)  # window j starts a run
+    runs = [np.empty((0, m + 1))]  # the distinct rows, per chunk
+    last = None  # the bits of the last run's row
     x_windows = sliding_window_view(x, window)
     y_windows = sliding_window_view(y, window)
     rows = max(1, CHUNK_ELEMENTS // max(window, (k + 1) ** 2))
@@ -242,20 +234,26 @@ def _window_estimates(x, y, starts, window, k, config, out) -> None:
             kx, ky = kth_x[j - 1], kth_y[j - 1]
             same[j - lo] = ((ux[dropped] > kx) & (uy[dropped] > ky)
                             & (ux[added] > kx) & (uy[added] > ky))
-        reused = j.size > 0 and same.any()
-        fresh = np.flatnonzero(~same) if reused else slice(None)
-        if not (reused and same.all()):
-            table = _corner_counts(xs[fresh], ys[fresh], k, config.tail,
-                                   kth_x[lo:hi][fresh], kth_y[lo:hi][fresh])
-            counts = table[:, tx, ty] / k
-            # What from_grid does to the counts: np.clip(counts, 0.0, bound),
-            # where counts >= 0 (and the endpoint counts are already zero).
-            out[lo:hi][fresh] = np.minimum(counts, bound, out=counts)
-        if reused:
-            # A reused row copies the last fresh row before it, here or in an
-            # earlier chunk (row lo - 1 is final by now).
-            last = np.maximum.accumulate(np.where(same, lo - 1, np.arange(lo, hi)))
-            out[lo + np.flatnonzero(same)] = out[last[same]]
+        if same.all():
+            continue  # every window joins the run before it
+        fresh = np.flatnonzero(~same) if same.any() else slice(None)
+        table = _corner_counts(xs[fresh], ys[fresh], k, config.tail,
+                               kth_x[lo:hi][fresh], kth_y[lo:hi][fresh])
+        counts = table[:, tx, ty] / k
+        # What from_grid does to the counts: np.clip(counts, 0.0, bound),
+        # where counts >= 0 (and the endpoint counts are already zero).
+        np.minimum(counts, bound, out=counts)
+        # A computed row starts a run if its bits differ from the row before
+        # its window, which is the computed row before it or the last run's.
+        bits = counts.view(np.uint64)
+        new = np.ones(len(bits), dtype=bool)
+        new[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+        if last is not None:
+            new[0] = (bits[0] != last).any()
+        last = bits[-1]
+        new_run[lo:hi][fresh] = new
+        runs.append(counts[new])
+    return np.concatenate(runs), np.cumsum(new_run) - 1
 
 
 def _kth(values: np.ndarray, k: int, tail: str) -> np.ndarray:

@@ -7,16 +7,16 @@ results aggregate cross-sectionally per window date.  All outputs are
 deterministic: rerunning the same configuration reproduces files byte for
 byte.
 
-The work is batch-first.  The windows of all pairs are stacked into one
-C-contiguous (windows, m + 1) array; the projection, the measures and the
-bands run over its rows, and every reduction runs along a contiguous last
-axis, which numpy sums in the same order as a single curve, so a row's
-result does not depend on the rows stacked with it.  ``empirical_tdf``,
-``least_concave_majorant`` and the ``measures`` functions are one-row calls
-of these kernels; the loops in ``tests/reference.py`` are their oracle.
-Windows one step apart often give bitwise-equal rows, so every stage after the
-estimator runs once per run of equal consecutive rows and is expanded back by
-index; a row's result depends only on its bits, so the output is unchanged.
+The work is batch-first.  The estimator returns each pair's windows in runs
+of bitwise-equal consecutive estimates: the distinct rows and each window's
+run.  The runs of all pairs are stacked into one C-contiguous (runs, m + 1)
+array; the projection, the measures and the bands run over its rows, and
+every reduction runs along a contiguous last axis, which numpy sums in the
+same order as a single curve, so a row's result does not depend on the rows
+stacked with it.  ``empirical_tdf``, ``least_concave_majorant`` and the
+``measures`` functions are one-row calls of these kernels; the loops in
+``tests/reference.py`` are their oracle.  The later stages read the run
+index: per-date statistics and CSV text are computed once per run.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 from . import measures as meas
 from .envelope import linf_range_given_tdc
 from .errors import ConfigError, DataError
-from .estimator import EstimatorConfig, rolling_estimate, window_starts
+from .estimator import EstimatorConfig, rolling_estimate
 from .measures import DOUBLED
 from .panel import ReturnPanel, aggregate_rows, series_stats_rows
 from .tdf import TailDependenceFunction, TDFKind, least_concave_majorant_rows
@@ -65,7 +65,7 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class PairReport:
-    """All windows of one ticker pair, one array row per window."""
+    """All windows of one ticker pair; window j measured ``rows[index[j]]``."""
 
     base: str
     other: str
@@ -74,9 +74,17 @@ class PairReport:
     end_dates: tuple[str, ...] = field(repr=False)
     values: np.ndarray = field(repr=False)  # (windows, measures), columns as measure_names
     linf_bounds: np.ndarray = field(repr=False)  # (windows, 2): feasible linf range
-    curves: np.ndarray = field(repr=False)  # (windows, m + 1): the function measured
+    rows: np.ndarray = field(repr=False)  # (runs, m + 1): the functions measured
+    index: np.ndarray = field(repr=False)  # (windows,) run of each window
     skipped: tuple[int, ...]
     config: PipelineConfig
+
+    @property
+    def curves(self) -> np.ndarray:
+        """One row per window, ``rows[index]``, expanded on each access (read-only)."""
+        curves = self.rows[self.index]
+        curves.setflags(write=False)
+        return curves
 
     def value(self, name: str) -> np.ndarray:
         """The named measure over the windows."""
@@ -85,7 +93,7 @@ class PairReport:
     def tdf(self, window: int) -> TailDependenceFunction:
         """The function measured in one window (VALIDATED when projected)."""
         kind = TDFKind.VALIDATED if self.config.project else TDFKind.EMPIRICAL
-        return TailDependenceFunction(self.config.grid_size, self.curves[window], kind)
+        return TailDependenceFunction(self.config.grid_size, self.rows[self.index[window]], kind)
 
 
 def run_pairs(
@@ -97,16 +105,16 @@ def run_pairs(
 ) -> list[PairReport]:
     """Rolling estimation and measurement for the pairs (base, other), in order.
 
-    The windows of all pairs are stacked into one array before the projection
-    and the measures, so both run once however the windows split into pairs,
-    on the first row of each run of bitwise-equal consecutive rows only.
+    The estimator's runs of all pairs are stacked into one array before the
+    projection and the measures, so both run once however the windows split
+    into pairs, and once per run of bitwise-equal consecutive windows.
     ``others`` names each ticker once and not the base: a repeat would count
     twice in every cross-section statistic, and the base would pair with itself.
     """
     names = tuple(measure_names)
     for name in names:
         meas.parse_measure(name)  # fail before estimating
-    estimator = config.estimator()  # and before sizing the array by the grid
+    estimator = config.estimator()  # and before any array is sized by the grid
     others = tuple(others)
     if base in others:
         raise ConfigError(f"--tickers must not list the base ticker {base!r}")
@@ -114,43 +122,23 @@ def run_pairs(
     if repeated:
         raise ConfigError(f"--tickers lists {repeated} more than once")
     series = [_pair_series(panel, base, other, config.window) for other in others]
-    # One array for the windows of all pairs; each pair's estimates land in
-    # their block directly.
-    windows = [window_starts(x, y, config.window, config.step) for x, y in series]
-    offsets = np.cumsum([0, *(len(starts) for starts, _ in windows)])
-    curves = np.empty((offsets[-1], config.grid_size + 1))
-    estimates = [
-        rolling_estimate(x, y, config.window, config.step, estimator,
-                         out=curves[offsets[j]:offsets[j + 1]], windows=windows[j])
-        for j, (x, y) in enumerate(series)
-    ]
-    first, index = _distinct_rows(curves)
-    distinct = curves[first]
+    estimates = [rolling_estimate(x, y, config.window, config.step, estimator) for x, y in series]
+    # The runs of all pairs, in one array; pair j's are rows offsets[j]: offsets[j + 1].
+    offsets = np.cumsum([0, *(len(est.rows) for est in estimates)])
+    rows = np.concatenate([np.empty((0, config.grid_size + 1)), *(est.rows for est in estimates)])
     if config.project:
-        least_concave_majorant_rows(distinct)
-        # mode="clip": the default mode="raise" buffers out, a copy of curves.
-        np.take(distinct, index, axis=0, out=curves, mode="clip")
-    curves.setflags(write=False)
-    values = meas.measure_rows(distinct, names, config.normalization)[index]
-    bands = np.column_stack(linf_range_given_tdc(meas.measure_rows(distinct, ("tdc",))[:, 0],
-                                                 config.normalization))[index]
+        least_concave_majorant_rows(rows)
+    rows.setflags(write=False)
+    values = meas.measure_rows(rows, names, config.normalization)
+    bands = np.column_stack(linf_range_given_tdc(meas.measure_rows(rows, ("tdc",))[:, 0],
+                                                 config.normalization))
     reports = []
-    for j, other in enumerate(others):
-        rows = slice(offsets[j], offsets[j + 1])
-        starts = estimates[j].starts
-        end_dates = tuple(panel.dates[t + config.window - 1] for t in starts.tolist())
-        reports.append(PairReport(base, other, names, starts, end_dates, values[rows],
-                                  bands[rows], curves[rows], estimates[j].skipped, config))
+    for j, (other, est) in enumerate(zip(others, estimates)):
+        runs = slice(offsets[j], offsets[j + 1])
+        end_dates = tuple(panel.dates[t + config.window - 1] for t in est.starts.tolist())
+        reports.append(PairReport(base, other, names, est.starts, end_dates, values[runs][est.index],
+                                  bands[runs][est.index], rows[runs], est.index, est.skipped, config))
     return reports
-
-
-def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Runs of bitwise-equal consecutive float64 rows (0.0 and -0.0 differ):
-    the first row of each run, and each row's run, so a[first][index] is a."""
-    bits = np.ascontiguousarray(a).view(np.uint64)
-    new = np.ones(len(bits), dtype=bool)
-    new[1:] = (bits[1:] != bits[:-1]).any(axis=1)
-    return np.flatnonzero(new), np.cumsum(new) - 1
 
 
 def _pair_series(panel: ReturnPanel, base: str, other: str, window: int):
@@ -180,9 +168,10 @@ def cross_section(reports: list[PairReport]) -> dict:
     """Aggregate pair reports across pairs.
 
     Per window date and measure: cross-pair statistics, a (dates, CROSS_STATS)
-    array (the per-date rows).  Per measure: each pair's time-series
-    statistic, aggregated across pairs (the summary table).  All reports must
-    share identical window dates.
+    array (the per-date rows), computed once per run of dates on which no
+    pair's run index changes; ``index`` gives each date's run.  Per measure:
+    each pair's time-series statistic, aggregated across pairs (the summary
+    table).  All reports must share identical window dates.
     """
     if not reports:
         raise DataError("no pair reports to aggregate")
@@ -194,17 +183,20 @@ def cross_section(reports: list[PairReport]) -> dict:
                 "cannot align the cross-section"
             )
     names = reports[0].measure_names
+    # A date starts a run where some pair's window starts a run.
+    new = np.ones(len(dates), dtype=bool)
+    new[1:] = np.any([np.diff(rep.index) > 0 for rep in reports], axis=0)
+    first, index = np.flatnonzero(new), np.cumsum(new) - 1
     per_date = {}
     series = []  # per measure, (CROSS_STATS, pairs)
     for col, name in enumerate(names):
         matrix = np.array([rep.values[:, col] for rep in reports])  # pairs x windows
-        first, index = _distinct_rows(matrix.T)
         per_date[name] = series_stats_rows(matrix.T[first])[index]
         series.append(series_stats_rows(matrix).T)
     # The summary table: every (measure, statistic) row aggregated in one call.
     aggs = iter(aggregate_rows(np.concatenate(series)).tolist())
     table = {name: {label: dict(zip(TABLE_AGGS, next(aggs))) for label in TABLE_STATS} for name in names}
-    return {"dates": list(dates), "per_date": per_date, "table": table}
+    return {"dates": list(dates), "index": index, "per_date": per_date, "table": table}
 
 
 # -- run directory -----------------------------------------------------------
@@ -215,10 +207,10 @@ def format_float(x: float) -> str:
     return repr(float(x))
 
 
-def _row_texts(rows: np.ndarray) -> list[str]:
-    """The CSV cells of each row, formatted once per run of bitwise-equal rows;
-    equal floats need not print alike (0.0 == -0.0)."""
-    first, index = _distinct_rows(rows)
+def _row_texts(rows: np.ndarray, index: np.ndarray) -> list[str]:
+    """The CSV cells of each row, formatted once per run: ``index`` gives each
+    row's run (non-decreasing from 0), and a run prints its first row."""
+    first = np.flatnonzero(np.diff(index, prepend=-1))
     # tolist() gives Python floats, whose repr is format_float's text.
     text = [",".join(map(repr, row)) for row in rows[first].tolist()]
     return [text[i] for i in index.tolist()]
@@ -232,7 +224,8 @@ def write_run(
     stats: dict | None = None,
 ) -> None:
     """Write a run directory: manifest.json, per-pair CSVs, cross-section files;
-    CSV cells are formatted once per run of bitwise-equal rows (``_row_texts``)."""
+    CSV cells are formatted once per run of a report's or the cross-section's
+    ``index`` (``_row_texts``)."""
     out = Path(out_dir)
     (out / "pairs").mkdir(parents=True, exist_ok=True)
     with open(out / "manifest.json", "w", encoding="utf-8") as fh:
@@ -247,7 +240,7 @@ def write_run(
         with open(path, "w", encoding="utf-8", newline="") as fh:
             header = ["start", "end_date", *rep.measure_names, "linf_lo", "linf_hi"]
             fh.write(",".join(header) + "\n")
-            text = _row_texts(np.column_stack([rep.values, rep.linf_bounds]))
+            text = _row_texts(np.column_stack([rep.values, rep.linf_bounds]), rep.index)
             fh.writelines(f"{start},{end_date},{cells}\n"
                           for start, end_date, cells in zip(rep.starts.tolist(), rep.end_dates, text))
     if cross is not None:
@@ -256,7 +249,8 @@ def write_run(
         for name, rows in cross["per_date"].items():
             with open(cs_dir / f"{name}.csv", "w", encoding="utf-8", newline="") as fh:
                 fh.write("end_date," + ",".join(CROSS_STATS) + "\n")
-                fh.writelines(f"{d},{cells}\n" for d, cells in zip(cross["dates"], _row_texts(rows)))
+                text = _row_texts(rows, cross["index"])
+                fh.writelines(f"{d},{cells}\n" for d, cells in zip(cross["dates"], text))
         with open(cs_dir / "summary.json", "w", encoding="utf-8") as fh:
             json.dump(cross["table"], fh, indent=2, sort_keys=True)
             fh.write("\n")

@@ -260,6 +260,45 @@ def test_rolling_rows_reuse_only_windows_with_the_same_corners(tail, kind, step,
         assert _boundary_ties(x, y, rolling.starts, window, k_eff, tail) > 0
 
 
+@pytest.mark.parametrize("tail", ["lower", "upper"])
+@pytest.mark.parametrize("kind", ["continuous", "levels"])
+@pytest.mark.parametrize("step", [1, 3])
+@pytest.mark.parametrize("chunk_elements", [None, 400])
+def test_rolling_runs_are_exact_and_maximal(tail, kind, step, chunk_elements, monkeypatch):
+    """The estimator's runs: every window's row rows[index] is == its
+    one-window estimate bit for bit, consecutive rows differ in their bits
+    (equal rows merge whether computed or reused), and index starts at 0 and
+    steps by 0 or 1; also with small chunks, so that runs cross chunk
+    boundaries."""
+    window = 80
+    rng = np.random.default_rng([len(kind), step, len(tail), chunk_elements or 0])
+    n = window + 240
+    if kind == "levels":  # 30 integer levels: heavy ties, many equal computed rows
+        x = rng.integers(0, 30, n).astype(float)
+        y = np.floor((x + rng.integers(0, 30, n)) / 2.0)
+    else:
+        x = rng.standard_normal(n)
+        y = 0.7 * x + 0.7 * rng.standard_normal(n)
+    if chunk_elements is not None:
+        monkeypatch.setattr(estimator, "CHUNK_ELEMENTS", chunk_elements)
+    config = EstimatorConfig(grid_size=20, tail=tail)
+    rolling = rolling_estimate(x, y, window, step=step, config=config)
+    rows, index = rolling.rows, rolling.index
+    assert len(index) == len(rolling.starts) == len(rolling) > 50
+    assert index[0] == 0 and set(np.diff(index).tolist()) <= {0, 1}
+    assert index[-1] == len(rows) - 1
+    bits = rows.view(np.uint64)
+    assert (bits[1:] != bits[:-1]).any(axis=1).all()
+    for start, run in zip(rolling.starts.tolist(), index.tolist()):
+        stop = start + window
+        assert rows[run].tobytes() == reference_window(x[start:stop], y[start:stop], config).tobytes()
+    assert len(rows) < len(index)  # some windows share a run
+    if chunk_elements is not None and step == 1:
+        per_chunk = chunk_elements // (config.resolve_k(window) + 1) ** 2
+        cuts = np.arange(per_chunk, len(index), per_chunk)
+        assert (index[cuts] == index[cuts - 1]).any()  # a run crosses a chunk boundary
+
+
 def _lattice_grid(rng, m, denominator):
     """Admissible-bounded but non-concave values on a coarse lattice, with flat
     runs and ties."""

@@ -14,6 +14,7 @@ import pytest
 
 import taildep
 from taildep.cli import main
+from taildep.estimator import EstimatorConfig, empirical_tdf, ranks
 from taildep.tdf import clayton
 
 PRICES = """date,BASE,AAA
@@ -82,6 +83,37 @@ def test_estimate_pair(prices_csv, tmp_path):
     assert w0["start"] == 0
     assert w0["end_date"] == "2020-01-09"
     assert len(w0["tdf"]["values"]) == 11
+
+
+@pytest.mark.parametrize("step", [1, 3])
+def test_estimate_file_equals_one_function_per_window(tmp_path, step):
+    # The file is what serializing one TailDependenceFunction per window
+    # gives, byte for byte; with step 3 a blank return skips windows.
+    rng = np.random.default_rng(step)
+    n, window, grid = 70, 30, 10
+    x = rng.standard_normal(n)
+    y = 0.6 * x + rng.standard_normal(n)
+    if step > 1:
+        y[40] = np.nan
+    dates = [f"2020-{1 + i // 28:02d}-{1 + i % 28:02d}" for i in range(n)]
+    ret = tmp_path / "returns.csv"
+    ret.write_text("date,BASE,AAA\n" + "".join(
+        f"{d},{a!r},{'' if math.isnan(b) else repr(b)}\n" for d, a, b in zip(dates, x.tolist(), y.tolist())))
+    out = tmp_path / "est.json"
+    assert main(["estimate", "--returns", str(ret), "--pair", "BASE,AAA", "--window", str(window),
+                 "--step", str(step), "--grid", str(grid), "--out", str(out)]) == 0
+    config = EstimatorConfig(grid_size=grid)
+    windows, skipped = [], []
+    for start in range(0, n - window + 1, step):
+        stop = start + window
+        if np.isnan(y[start:stop]).any():
+            skipped.append(start)
+            continue
+        tdf = empirical_tdf(ranks(x[start:stop], y[start:stop]), config)
+        windows.append({"start": start, "end_date": dates[stop - 1], "tdf": json.loads(tdf.to_json())})
+    assert (len(skipped) > 0) == (step > 1)
+    expected = {"pair": ["BASE", "AAA"], "windows": windows, "skipped": skipped}
+    assert out.read_text() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
 
 def test_measures_on_serialized_tdf(tmp_path):
@@ -329,6 +361,19 @@ def test_report_stats_skip_a_column_the_report_does_not_use(tmp_path, capsys):
     assert rc == 0
     stats = read_json(tmp_path / "run" / "stats.json")
     assert set(stats["per_series"]) == {"BASE", "AAA"}
+
+
+def test_report_on_a_panel_with_only_the_base(tmp_path):
+    # No pair to estimate: the run directory holds the manifest and the
+    # base's statistics, and no pair or cross-section file.
+    prices = tmp_path / "prices.csv"
+    prices.write_text("".join(line.rpartition(",")[0] + "\n" for line in PRICES.splitlines()))
+    out_dir = tmp_path / "run"
+    assert main(["report", "--prices", str(prices), "--base", "BASE", "--window", "8",
+                 "--grid", "4", "--out-dir", str(out_dir)]) == 0
+    assert read_json(out_dir / "manifest.json")["pairs"] == []
+    assert set(read_json(out_dir / "stats.json")["per_series"]) == {"BASE"}
+    assert sorted(p.name for p in out_dir.rglob("*")) == ["manifest.json", "pairs", "stats.json"]
 
 
 def test_report_names_a_series_without_observations(tmp_path, capsys):

@@ -125,8 +125,7 @@ def test_rolling_window_count_and_starts():
     x, y = rng.random(120), rng.random(120)
     roll = rolling_estimate(x, y, window=100, step=5)
     assert len(roll) == 5  # starts 0, 5, 10, 15, 20
-    starts = [start for start, _ in roll.windows]
-    assert starts == [0, 5, 10, 15, 20]
+    assert roll.starts.tolist() == [0, 5, 10, 15, 20]
 
 
 def test_rolling_skips_windows_with_missing_data():
@@ -136,7 +135,7 @@ def test_rolling_skips_windows_with_missing_data():
     roll = rolling_estimate(x, y, window=20, step=10,
                             config=EstimatorConfig(grid_size=10))
     assert roll.skipped == (10, 20)
-    assert [s for s, _ in roll.windows] == [0, 30, 40]
+    assert roll.starts.tolist() == [0, 30, 40]
 
 
 def test_rolling_estimates_match_direct_calls():
@@ -144,9 +143,9 @@ def test_rolling_estimates_match_direct_calls():
     x, y = rng.random(300), rng.random(300)
     cfg = EstimatorConfig(k=12, grid_size=40)
     roll = rolling_estimate(x, y, window=150, step=75, config=cfg)
-    for start, est in roll.windows:
+    for start, row in zip(roll.starts.tolist(), roll.values):
         direct = empirical_tdf(ranks(x[start:start + 150], y[start:start + 150]), cfg)
-        assert np.array_equal(est.values, direct.values)
+        assert np.array_equal(row, direct.values)
 
 
 def test_rolling_validates_window():

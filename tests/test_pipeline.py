@@ -117,8 +117,8 @@ def test_run_pairs_rejects_repeated_or_base_tickers(others, named):
 
 @pytest.mark.parametrize("grid_size", [-4, -2, -1, 0, 3])
 def test_bad_grid_is_a_config_error(grid_size):
-    # The grid is validated before it sizes the (windows, grid_size + 1)
-    # array, where a negative one would raise numpy's ValueError.
+    # The grid is validated before any array is sized by it, where a
+    # negative one would raise numpy's ValueError.
     with pytest.raises(ConfigError, match="grid_size"):
         run_pair(toy_panel(), "BASE", "A",
                  PipelineConfig(window=100, step=50, grid_size=grid_size))
@@ -210,6 +210,20 @@ def test_pair_with_every_window_skipped_between_equal_pairs():
     assert len(raw) == 80 and repeats(raw) == 79  # one run across the empty block
 
 
+def test_reports_hold_runs_not_windows():
+    # With step 1 most windows repeat the row before them, so the reports'
+    # rows take a small share of one row per window.
+    config = PipelineConfig(window=200, step=1, grid_size=50)
+    reports = run_pairs(toy_panel(n=700), "BASE", ("A", "B"), config)
+    windows = sum(len(rep.starts) for rep in reports)
+    assert windows == 2 * 501
+    assert sum(rep.rows.nbytes for rep in reports) < windows * (config.grid_size + 1) * 8 / 4
+    for rep in reports:
+        assert rep.index[0] == 0 and set(np.diff(rep.index).tolist()) <= {0, 1}
+        assert rep.curves.shape == (len(rep.starts), config.grid_size + 1)
+        assert all(rep.tdf(j).values.tobytes() == rep.curves[j].tobytes() for j in (0, 250, 500))
+
+
 # ---------------------------------------------------------------------------
 # Cross sections
 # ---------------------------------------------------------------------------
@@ -289,21 +303,24 @@ def test_write_run_files(tmp_path):
     assert "tdc" in summary
 
 
-def test_write_run_reuses_text_only_for_bitwise_equal_rows(tmp_path):
-    # 0.0 == -0.0 but their texts differ (rows 0-1 and 6-7); NaNs with
-    # different payloads print the same (rows 2-3); row 6 equals row 4 across
-    # a different row.
+def test_write_run_formats_text_once_per_run(tmp_path):
+    # Text is formatted once per run of the index and repeated for the run's
+    # other rows: window 5 holds other values in window 4's run, so it prints
+    # window 4's text.  Separate runs print their own text: 0.0 == -0.0 but
+    # their texts differ (windows 0-1 and 6-7), and NaNs with different
+    # payloads print the same (windows 2-3).
     nan1, nan2 = np.array([0x7FF8000000000001, 0xFFF8000000000002], dtype=np.uint64).view(float)
     values = np.array([[0.5, 0.0], [0.5, -0.0], [nan1, 0.25], [nan2, 0.25],
                        [0.1, 0.2], [0.3, 0.4], [0.1, 0.2], [0.1, 0.2]])
     bounds = np.array([[0.0, 1.0], [0.0, 1.0], [0.0, 1.0], [0.0, 1.0],
-                       [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, -0.0]])
+                       [0.0, 0.0], [0.0, 0.5], [0.0, 0.0], [0.0, -0.0]])
+    index = np.array([0, 1, 2, 3, 4, 4, 5, 6])
     n = len(values)
     rep = PairReport("BASE", "A", ("tdc", "linf"), np.arange(n), tuple(f"d{i}" for i in range(n)),
-                     values, bounds, np.zeros((n, 3)), (), PipelineConfig(grid_size=2))
+                     values, bounds, np.zeros((7, 3)), index, (), PipelineConfig(grid_size=2))
     per_date = np.repeat(values[:, :1], len(CROSS_STATS), axis=1)
     per_date[:, -1] = values[:, 1]
-    cross = {"dates": list(rep.end_dates), "per_date": {"tdc": per_date}, "table": {}}
+    cross = {"dates": list(rep.end_dates), "index": index, "per_date": {"tdc": per_date}, "table": {}}
     write_run(tmp_path, [rep], cross, manifest={})
     assert (tmp_path / "pairs" / "BASE_A.csv").read_text() == (
         "start,end_date,tdc,linf,linf_lo,linf_hi\n"
@@ -312,7 +329,7 @@ def test_write_run_reuses_text_only_for_bitwise_equal_rows(tmp_path):
         "2,d2,nan,0.25,0.0,1.0\n"
         "3,d3,nan,0.25,0.0,1.0\n"
         "4,d4,0.1,0.2,0.0,0.0\n"
-        "5,d5,0.3,0.4,0.0,0.0\n"
+        "5,d5,0.1,0.2,0.0,0.0\n"
         "6,d6,0.1,0.2,0.0,0.0\n"
         "7,d7,0.1,0.2,0.0,-0.0\n"
     )
@@ -323,7 +340,7 @@ def test_write_run_reuses_text_only_for_bitwise_equal_rows(tmp_path):
         "d2,nan,nan,nan,nan,nan,nan,0.25\n"
         "d3,nan,nan,nan,nan,nan,nan,0.25\n"
         "d4,0.1,0.1,0.1,0.1,0.1,0.1,0.2\n"
-        "d5,0.3,0.3,0.3,0.3,0.3,0.3,0.4\n"
+        "d5,0.1,0.1,0.1,0.1,0.1,0.1,0.2\n"
         "d6,0.1,0.1,0.1,0.1,0.1,0.1,0.2\n"
         "d7,0.1,0.1,0.1,0.1,0.1,0.1,0.2\n"
     )
