@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -30,7 +31,10 @@ from .tdf import TailDependenceFunction, TDFKind
 
 
 def _write_json(data, path: str | None) -> None:
-    text = json.dumps(data, indent=2, sort_keys=True) + "\n"
+    _write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", path)
+
+
+def _write_text(text: str, path: str | None) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
@@ -154,18 +158,23 @@ def _cmd_estimate(args) -> None:
         raise TailDepError("--pair needs two comma-separated tickers")
     cfg = EstimatorConfig(k=args.k, grid_size=args.grid, tail=args.tail)
     rolling = rolling_estimate(panel.column(first), panel.column(second), args.window, args.step, cfg)
-    # Each window's "tdf" is what TailDependenceFunction.to_json gives for its row.
-    rows = [{"kind": TDFKind.EMPIRICAL.value, "m": args.grid, "values": row}
+    # Each window's "tdf" is what TailDependenceFunction.to_json gives for its
+    # row.  ``indent`` forces Python's slow encoder, so each run's text is
+    # encoded once, shifted six spaces to the depth of a window's keys, and
+    # spliced in wherever the payload holds its run index.
+    runs = [json.dumps({"kind": TDFKind.EMPIRICAL.value, "m": args.grid, "values": row},
+                       indent=2, sort_keys=True).replace("\n", "\n      ")
             for row in rolling.rows.tolist()]
     payload = {
         "pair": [first, second],
         "windows": [
-            {"start": start, "end_date": panel.dates[start + args.window - 1], "tdf": rows[run]}
+            {"start": start, "end_date": panel.dates[start + args.window - 1], "tdf": run}
             for start, run in zip(rolling.starts.tolist(), rolling.index.tolist())
         ],
         "skipped": list(rolling.skipped),
     }
-    _write_json(payload, args.out)
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    _write_text(re.sub(r'"tdf": (\d+)', lambda hit: '"tdf": ' + runs[int(hit[1])], text), args.out)
 
 
 def _cmd_measures(args) -> None:

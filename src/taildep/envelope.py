@@ -9,8 +9,9 @@ tent (the interpolant of the anchors plus one point).  Every minimum, the
 ``max_td`` and ``point_eval`` maxima and the mixtures of tents drawn by
 ``random_feasible`` are closed forms.  The ``avg_td`` maximum is a cutting
 plane over one slope per interior pin, whose small master LP runs on the
-in-repo simplex.  ``linf_range_given_tdc`` is the continuous closed form for the
-sup-measure given the coefficient.  Grid ranges inherit a +-2/grid_size
+in-repo simplex and gains each round's cuts as rows of one live tableau.
+``linf_range_given_tdc`` is the continuous closed form for the sup-measure
+given the coefficient.  Grid ranges inherit a +-2/grid_size
 resolution, reported on the result.
 """
 
@@ -163,7 +164,10 @@ def _weighted_sum_max(idx: np.ndarray, val: np.ndarray, upper: np.ndarray, w: np
     variable per interval, at most the interval's sum under the upper
     envelope, gains each round the active affine piece of B_k wherever it
     overestimates B_k.  There are finitely many pieces, so the master bound
-    meets the best curve found at the exact maximum.
+    meets the best curve found at the exact maximum.  One master lives for the
+    whole call: each round appends its cuts to the live simplex tableau, which
+    re-optimises from the last basis, and the iterations returned are those of
+    that one solver over every round.
     """
     m = w.size - 1
     p = idx.size - 2  # interior anchors, one slope each (per unit s)
@@ -190,8 +194,8 @@ def _weighted_sum_max(idx: np.ndarray, val: np.ndarray, upper: np.ndarray, w: np
 
     # Mid-range slopes first, against the upper envelope as the first estimate.
     t, eta = 0.5 * (t_lo + t_hi), hi[p:]
-    cut_rows, cut_rhs = [], []
-    best, argmax, iterations = -np.inf, x, 0
+    master = SimplexSolver(np.zeros((0, p + n)), [], np.zeros(p + n), (hi - lo) / scale)
+    best, argmax = -np.inf, x
     for _ in range(MAX_ROUNDS):
         # Interval 0 has no left line and interval p no right line.
         left = const[1] + np.concatenate([[np.inf], t])[k] * dl
@@ -202,7 +206,7 @@ def _weighted_sum_max(idx: np.ndarray, val: np.ndarray, upper: np.ndarray, w: np
         if value > best:
             best, argmax = value, x.copy()
         if float(eta.sum()) + anchored - best <= GAP_TOL:
-            return best, argmax, iterations
+            return best, argmax, master.iterations
         part = np.bincount(k, wi * x[i], minlength=n)
         # The active pieces summed per interval: eta_k <= const + weights . slopes.
         cut = np.zeros((n, p + n))
@@ -211,17 +215,16 @@ def _weighted_sum_max(idx: np.ndarray, val: np.ndarray, upper: np.ndarray, w: np
         cut[rows[:-1], rows[:-1]] = -np.bincount(k, wi * dr * (active == 2), minlength=n)[:-1]
         rhs = np.bincount(k, wi * np.choose(active, const), minlength=n)
         new = eta > part
-        cut_rows.append(cut[new])
-        cut_rhs.append(rhs[new])
-        a, b = np.vstack(cut_rows), np.concatenate(cut_rhs)
+        a, b = cut[new], rhs[new]
         # The simplex's tolerances are absolute, so it sees every variable
         # over [0, 1], every row with a unit epigraph coefficient, and an
         # objective in which its reduced-cost tolerance is worth GAP_TOL.
+        # Scaling is per row, so each round appends only its own rows to
+        # the live master and the rows before them never change.
         az = a * scale
         row = az[:, p:].max(axis=1)
-        sol = SimplexSolver(az / row[:, None], (b - a @ lo) / row, np.zeros(p + n),
-                            (hi - lo) / scale).solve(obj * scale * (TOL_RC / GAP_TOL))
-        iterations += sol.iterations
+        master.add_rows(az / row[:, None], (b - a @ lo) / row)
+        sol = master.solve(obj * scale * (TOL_RC / GAP_TOL))
         t, eta = t_lo + scale[:p] * sol.x[:p], scale[p:] * sol.x[p:]
     raise SolverError(f"avg_td maximum did not converge in {MAX_ROUNDS} cutting-plane rounds")
 
@@ -240,7 +243,7 @@ def measure_range(
     the upper envelope, attained by the tent through the anchors and the
     maximising grid point.  The ``avg_td`` maximum optimises one supporting
     slope per interior pin by an exact cutting plane (``_weighted_sum_max``);
-    ``lp_iterations`` sums the simplex iterations of its master LPs.
+    ``lp_iterations`` counts the simplex iterations of its one live master LP.
     """
     m = grid_size
     scale = scale_factor(normalization)

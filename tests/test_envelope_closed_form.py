@@ -12,9 +12,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from taildep.envelope import measure_range, random_feasible
+from taildep.envelope import GAP_TOL, measure_range, random_feasible
 from taildep.errors import InfeasibleError
-from taildep.lp import SimplexSolver
+from taildep.lp import TOL_RC, SimplexSolver
 from taildep.measures import average_tail_dependence, max_tail_dependence, point_eval
 from taildep.tdf import CONCAVITY_TOL, TDFKind
 
@@ -263,3 +263,28 @@ def test_lp_iterations_count_only_the_avg_td_maximum():
     assert first > 0
     assert measure_range(pins, "avg_td", grid_size=40).lp_iterations == first
     assert "lp_iterations" not in measure_range(pins, "avg_td", grid_size=40).to_dict()
+
+
+def test_live_master_pivots_less_and_matches_a_cold_master(monkeypatch):
+    # The cutting plane keeps one master per call and appends each round's
+    # cuts to it.  Rebuilt from scratch every round, these pins cost 208
+    # simplex iterations.
+    solves = []
+    solve = SimplexSolver.solve
+
+    def recording(self, c):
+        sol = solve(self, c)
+        solves.append((self, c, sol))
+        return sol
+
+    monkeypatch.setattr(SimplexSolver, "solve", recording)
+    res = measure_range(clayton_pins(), "avg_td", grid_size=400)
+    assert res.lp_iterations < 208
+    master, c, last = solves[-1]
+    assert len(solves) > 1 and all(s is master for s, _, _ in solves)
+    assert res.lp_iterations == last.iterations
+    # A cold master on the same stacked rows reaches the same optimum; the
+    # master's objective is the avg_td bound times TOL_RC / GAP_TOL.
+    n = master.n_struct
+    cold = solve(SimplexSolver(master.cols[:, :n], master.b, master.lower[:n], master.upper[:n]), c)
+    assert abs(cold.value - last.value) * GAP_TOL / TOL_RC <= TOL

@@ -157,3 +157,82 @@ def test_unscaled_cutting_plane_master_raises_solver_error():
     b, lower, upper, c = (np.array(data[key]) for key in ("b", "lower", "upper", "c"))
     with pytest.raises(SolverError, match="breaks row 48 by 6.998e-11"):
         SimplexSolver(A, b, lower, upper).solve(c)
+
+
+def test_appended_batches_match_scipy_on_random_problems():
+    rng = np.random.default_rng(2025)
+    for trial in range(40):
+        n = int(rng.integers(2, 9))
+        c, A, b, lower, upper = random_problem(rng, n, int(rng.integers(1, 9)))
+        solver = SimplexSolver(A, b, lower, upper)
+        before = solver.solve(c).iterations
+        for batch in range(int(rng.integers(1, 6))):
+            _, A_new, b_new, _, _ = random_problem(rng, n, int(rng.integers(1, 5)))
+            solver.add_rows(A_new, b_new)
+            A, b = np.vstack([A, A_new]), np.concatenate([b, b_new])
+            ours = solver.solve(c)
+            assert ours.iterations >= before
+            before = ours.iterations
+            assert ours.value == pytest.approx(scipy_max(c, A, b, lower, upper), abs=1e-7), \
+                f"trial {trial}, batch {batch}"
+            assert np.all(A @ ours.x <= b + 1e-8)
+            assert np.all(ours.x >= lower - 1e-9) and np.all(ours.x <= upper + 1e-9)
+            assert c @ ours.x == pytest.approx(ours.value, abs=1e-9)
+
+
+def test_rows_appended_before_the_first_solve_go_through_phase_1():
+    solver = SimplexSolver([[1.0, 1.0]], [1.5], [0.0, 0.0], [1.0, 1.0])
+    solver.add_rows([[-1.0, 0.0]], [-0.75])  # x >= 0.75
+    sol = solver.solve([-1.0, 1.0])
+    assert sol.x == pytest.approx([0.75, 0.75])
+
+
+def test_appended_row_cutting_off_the_vertex_moves_it():
+    solver = SimplexSolver([[1.0, 2.0]], [2.5], [0.0, 0.0], [1.0, 1.0])
+    first = solver.solve([1.0, 1.0])
+    assert first.x == pytest.approx([1.0, 0.75])
+    # 2x + y <= 2 cuts (1, 0.75) off; the new vertex is where both rows bind.
+    solver.add_rows([[2.0, 1.0]], [2.0])
+    assert 2.0 * first.x[0] + first.x[1] > 2.0
+    second = solver.solve([1.0, 1.0])
+    assert second.x == pytest.approx([0.5, 1.0])
+    assert second.value == pytest.approx(1.5)
+    assert second.iterations > first.iterations
+
+
+def test_appended_rows_that_empty_the_region_raise_infeasible_error():
+    solver = SimplexSolver([[1.0, 1.0]], [1.5], [0.0, 0.0], [1.0, 1.0])
+    solver.solve([1.0, 1.0])
+    solver.add_rows([[-1.0, 0.0], [-1.0, -1.0]], [-0.5, -2.5])  # x + y >= 2.5
+    with pytest.raises(InfeasibleError):
+        solver.solve([1.0, 1.0])
+
+
+def test_warm_restart_across_objectives_after_an_append():
+    rng = np.random.default_rng(8)
+    c, A, b, lower, upper = random_problem(rng, 6, 8)
+    solver = SimplexSolver(A, b, lower, upper)
+    solver.solve(c)
+    _, A_new, b_new, _, _ = random_problem(rng, 6, 4)
+    solver.add_rows(A_new, b_new)
+    A, b = np.vstack([A, A_new]), np.concatenate([b, b_new])
+    for _ in range(10):
+        c = rng.standard_normal(6)
+        ours = solver.solve(c)
+        assert ours.value == pytest.approx(scipy_max(c, A, b, lower, upper), abs=1e-7)
+
+
+@pytest.mark.parametrize("miss, feasible", [(1e-9, True), (1e-7, False)])
+def test_appended_row_missed_by_a_residual_matches_a_cold_solve(miss, feasible):
+    # x <= 1 leaves x >= 1 + miss unreachable by miss; like phase 1 on the
+    # stacked rows, the dual pass accepts a miss up to TOL_FEAS.
+    live = SimplexSolver([[1.0]], [1.0], [0.0], [1.0])
+    live.solve([1.0])
+    live.add_rows([[-1.0]], [-(1.0 + miss)])
+    cold = SimplexSolver([[1.0], [-1.0]], [1.0, -(1.0 + miss)], [0.0], [1.0])
+    for solver in (live, cold):
+        if feasible:
+            assert solver.solve([1.0]).x == pytest.approx([1.0])
+        else:
+            with pytest.raises(InfeasibleError):
+                solver.solve([1.0])
