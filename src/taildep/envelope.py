@@ -144,11 +144,15 @@ def _upper_envelope(idx: np.ndarray, val: np.ndarray, lower: np.ndarray) -> np.n
 
 
 def _tent(idx: np.ndarray, val: np.ndarray, i: int, value: float, lower: np.ndarray) -> np.ndarray:
-    """Interpolant of the anchors plus the point (i, value)."""
+    """Interpolant of the anchors plus the point (i, value): ``lower`` redrawn
+    on the anchor interval around i (``np.interp`` reads one interval per point)."""
     if np.any(idx == i):
         return lower
     j = int(np.searchsorted(idx, i))
-    return np.interp(np.arange(lower.size), np.insert(idx, j, i), np.insert(val, j, value))
+    a, b = idx[j - 1], idx[j]
+    tent = lower.copy()
+    tent[a:b + 1] = np.interp(np.arange(a, b + 1), (a, i, b), (val[j - 1], value, val[j]))
+    return tent
 
 
 def _weighted_sum_max(idx: np.ndarray, val: np.ndarray, upper: np.ndarray, w: np.ndarray):

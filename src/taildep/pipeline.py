@@ -31,13 +31,14 @@ import numpy as np
 from . import measures as meas
 from .envelope import linf_range_given_tdc
 from .errors import ConfigError, DataError
-from .estimator import EstimatorConfig, rolling_estimate
+from .estimator import EstimatorConfig, _window_estimates
 from .measures import DOUBLED
 from .panel import ReturnPanel, aggregate_rows, series_stats_rows
 from .tdf import TailDependenceFunction, TDFKind, least_concave_majorant_rows
 
-# The one-window projection stays importable here, where perfbench/tracing.py
-# wraps it.
+# The one-pair estimator and the one-window projection stay importable here,
+# where perfbench/tracing.py wraps them.
+from .estimator import rolling_estimate  # noqa: F401
 from .tdf import least_concave_majorant  # noqa: F401
 
 DEFAULT_MEASURES = ("tdc", "l1", "linf", "spearman_ev", "extremal_dep")
@@ -121,8 +122,11 @@ def run_pairs(
     repeated = sorted(t for t, count in Counter(others).items() if count > 1)
     if repeated:
         raise ConfigError(f"--tickers lists {repeated} more than once")
-    series = [_pair_series(panel, base, other, config.window) for other in others]
-    estimates = [rolling_estimate(x, y, config.window, config.step, estimator) for x, y in series]
+    for other in others:
+        _check_joint(panel, base, other, config.window)
+    # One estimator pass over the panel's columns: the base is ranked once.
+    pairs = [(panel.tickers.index(base), panel.tickers.index(other)) for other in others]
+    estimates = _window_estimates(panel.values.T, pairs, config.window, config.step, estimator)
     # The runs of all pairs, in one array; pair j's are rows offsets[j]: offsets[j + 1].
     offsets = np.cumsum([0, *(len(est.rows) for est in estimates)])
     rows = np.concatenate([np.empty((0, config.grid_size + 1)), *(est.rows for est in estimates)])
@@ -141,7 +145,7 @@ def run_pairs(
     return reports
 
 
-def _pair_series(panel: ReturnPanel, base: str, other: str, window: int):
+def _check_joint(panel: ReturnPanel, base: str, other: str, window: int) -> None:
     x = panel.column(base)
     y = panel.column(other)
     joint = int((np.isfinite(x) & np.isfinite(y)).sum())
@@ -150,7 +154,6 @@ def _pair_series(panel: ReturnPanel, base: str, other: str, window: int):
             f"pair ({base}, {other}) has {joint} joint observations; "
             f"window {window} needs at least that many"
         )
-    return x, y
 
 
 def run_pair(

@@ -15,7 +15,7 @@ import reference
 from taildep import estimator
 from taildep import measures as meas
 from taildep.errors import ConfigError, DataError, DomainError, ParameterError
-from taildep.estimator import EstimatorConfig, _corner_order, _kth, empirical_tdf, ranks, rolling_estimate
+from taildep.estimator import EstimatorConfig, _chunk_corners, empirical_tdf, ranks, rolling_estimate
 from taildep.panel import ReturnPanel, series_stats_rows
 from taildep.pipeline import CROSS_STATS, PipelineConfig, cross_section, run_pairs
 from taildep.tdf import (
@@ -146,6 +146,32 @@ def _stable_prefix(values, k, tail):
     return (order[:, ::-1] if tail == "upper" else order)[:, :k]
 
 
+def _kernel_corners(values, k, tail, need):
+    """The kernel's k-th values and corners of the windows ``need`` marks, each
+    row of ``values`` one series; window o starts at point o and spans
+    ``values.shape[1] - need.shape[1] + 1`` points.  Corners are returned as
+    positions within their window."""
+    window = values.shape[1] - need.shape[1] + 1
+    kth, ranked, corners = _chunk_corners(values, need, np.arange(need.shape[1]), window, k,
+                                          need.shape[1], tail == "upper")
+    return kth, corners[ranked].astype(np.intp)
+
+
+def _check_windows(values, k, tail, need):
+    """Every needed window's corner is the stable order prefix of that window,
+    and its k-th value the last value of that prefix."""
+    window = values.shape[1] - need.shape[1] + 1
+    kth, corner = _kernel_corners(values, k, tail, need)
+    for o in range(need.shape[1]):
+        rows = np.flatnonzero(need[:, o])
+        part = values[rows, o:o + window]
+        prefix = _stable_prefix(part, k, tail)
+        assert np.array_equal(corner[rows, o], prefix), o
+        last = part[np.arange(len(rows)), prefix[:, -1]]
+        assert np.array_equal(kth[rows, o], -last if tail == "upper" else last)
+    assert np.isnan(kth[~need]).all()
+
+
 @pytest.mark.parametrize("tail", ["lower", "upper"])
 @pytest.mark.parametrize("kind", ["continuous", "integer", "copies", "tied_at_kth"])
 @pytest.mark.parametrize("window, k", [(200, 14), (200, 1), (200, 199), (200, 200),
@@ -154,19 +180,44 @@ def test_corner_order_is_the_stable_order_prefix(tail, kind, window, k):
     """The partial selection must equal the first k columns of the full stable
     argsort (reversed for the upper tail), also where the k-th value is tied
     across the corner boundary and only the first ties (for the upper tail,
-    the last) belong to the corner."""
+    the last) belong to the corner.  Each row is one lone window, a span of
+    its own."""
     rng = np.random.default_rng([window, k, len(kind), len(tail)])
     values = _corner_data(rng, kind, (64, window))
     if kind == "tied_at_kth":
         values = _tie_at_kth(rng, values, k, tail)
-    assert np.array_equal(_corner_order(values, k, tail, _kth(values, k, tail)),
-                          _stable_prefix(values, k, tail))
+    _check_windows(values, k, tail, np.ones((64, 1), dtype=bool))
     if kind != "continuous" and k < window:
         # Ties straddle the corner boundary: some row has more than k points
         # at or beyond its k-th value.
         kth = np.sort(values, axis=1)[:, window - k if tail == "upper" else k - 1]
         beyond = values >= kth[:, None] if tail == "upper" else values <= kth[:, None]
         assert np.any(beyond.sum(axis=1) > k)
+
+
+@pytest.mark.parametrize("tail", ["lower", "upper"])
+@pytest.mark.parametrize("kind", ["continuous", "integer", "copies", "tied_at_kth"])
+@pytest.mark.parametrize("window, k", [(200, 14), (200, 1), (200, 200), (600, 24), (600, 600)])
+@pytest.mark.parametrize("c", [2, 5, 33])
+def test_shared_span_corners_are_the_stable_order_prefix(tail, kind, window, k, c):
+    """Windows with consecutive starts share one span: c windows read one
+    union of window + c - 1 points, and each one's corner is still its own
+    stable order prefix, also where the union's (k + c - 1)-th value, the
+    candidate threshold, is tied ("tied_at_kth" copies it to a few points).
+    Windows that no pair needs split the row into spans of other lengths and
+    lone windows, ranked in the same call."""
+    rng = np.random.default_rng([window, k, len(kind), len(tail), c])
+    values = _corner_data(rng, kind, (16, window + c - 1))
+    if kind == "tied_at_kth":
+        values = _tie_at_kth(rng, values, k + c - 1, tail)
+    need = np.ones((16, c), dtype=bool)
+    need[8:] = rng.random((8, c)) < 0.6
+    _check_windows(values, k, tail, need)
+    if kind == "tied_at_kth" and k < window:
+        # More points than k + c - 1 lie at or beyond the threshold.
+        sign = -1.0 if tail == "upper" else 1.0
+        cut = np.sort(sign * values, axis=1)[:, [k + c - 2]]
+        assert np.any((sign * values <= cut).sum(axis=1) > k + c - 1)
 
 
 @pytest.mark.parametrize("tail", ["lower", "upper"])
@@ -294,9 +345,97 @@ def test_rolling_runs_are_exact_and_maximal(tail, kind, step, chunk_elements, mo
         assert rows[run].tobytes() == reference_window(x[start:stop], y[start:stop], config).tobytes()
     assert len(rows) < len(index)  # some windows share a run
     if chunk_elements is not None and step == 1:
-        per_chunk = chunk_elements // (config.resolve_k(window) + 1) ** 2
+        per_chunk, _ = estimator._chunking(2, window, config.resolve_k(window), step)
         cuts = np.arange(per_chunk, len(index), per_chunk)
         assert (index[cuts] == index[cuts - 1]).any()  # a run crosses a chunk boundary
+
+
+@pytest.mark.parametrize("tail", ["lower", "upper"])
+@pytest.mark.parametrize("step", [1, 3])
+@pytest.mark.parametrize("kind", ["continuous", "integer"])
+def test_many_pairs_equal_one_pair_calls(tail, step, kind, monkeypatch):
+    """One estimator pass over a base and four others (and a pair without the
+    base) gives every pair the rows, index, starts and skipped windows of its
+    own one-pair call, bit for bit.  One other has a NaN gap, so pairs of the
+    same base hold different windows; the chunks are small, so runs cross
+    them, and the one-pair calls cut their chunks elsewhere."""
+    window, n = 60, 400
+    rng = np.random.default_rng([step, len(tail), len(kind)])
+    columns = rng.standard_normal((5, n))
+    columns[1:] += rng.random((4, 1)) * columns[0]
+    if kind == "integer":
+        columns = np.floor(columns * 2.0)
+    columns[2, 150:153] = np.nan
+    monkeypatch.setattr(estimator, "CHUNK_ELEMENTS", 1000)
+    config = EstimatorConfig(grid_size=20, tail=tail)
+    pairs = [(0, 1), (0, 2), (0, 3), (0, 4), (3, 2)]
+    together = estimator._window_estimates(columns, pairs, window, step, config)
+    assert together[0].starts.size != together[1].starts.size  # the gap is the pair's own
+    for (i, j), got in zip(pairs, together):
+        alone = rolling_estimate(columns[i], columns[j], window, step, config)
+        assert got.starts.tolist() == alone.starts.tolist()
+        assert got.skipped == alone.skipped
+        assert got.index.tolist() == alone.index.tolist()
+        assert got.rows.tobytes() == alone.rows.tobytes()
+        assert len(got.rows) < len(got.starts)
+
+
+def _module_spans(starts, window, k, step):
+    """The spans the estimator forms over gap-free starts: chunks of
+    positions, each cut into spans, as ``_chunking`` sizes them."""
+    size, span = estimator._chunking(2, window, k, step)
+    for lo in range(0, len(starts), size):
+        hi = min(lo + size, len(starts))
+        for first in range(lo, hi, span):
+            yield starts[first], min(span, hi - first)
+
+
+@pytest.mark.parametrize("tail", ["lower", "upper"])
+@pytest.mark.parametrize("kind", ["integer", "signed_zeros", "zeros_at_threshold"])
+@pytest.mark.parametrize("k", [None, 1, 30])
+def test_rolling_rows_with_ties_at_the_span_threshold(tail, kind, k):
+    """Ties exactly at a shared span's candidate threshold (the union's
+    (k + c - 1)-th value) and at windows' k-th values, zeros of both signs
+    among them: every row is still == the one-window estimate."""
+    window = 120
+    rng = np.random.default_rng([len(kind), k or 0, len(tail)])
+    n = window + 200
+    config = EstimatorConfig(k=k, grid_size=20, tail=tail)
+    k_eff = config.resolve_k(window)
+    if kind == "zeros_at_threshold":
+        # The smallest values are zeros of either sign, about as many as a
+        # span's candidates, so a span's threshold is often a zero and often
+        # not.
+        x, y = rng.standard_normal((2, n))
+        y = 0.7 * x + 0.7 * y
+        _, span = estimator._chunking(2, window, k_eff, 1)
+        share = (k_eff + span - 1) / (window + span - 1)
+        x = np.where(x < np.quantile(x, share), rng.choice([0.0, -0.0], n), x + 5.0)
+        y = np.where(y < np.quantile(y, share), rng.choice([0.0, -0.0], n), y + 5.0)
+        if tail == "upper":
+            x, y = -x, -y
+    else:
+        x, y = _reuse_data(rng, kind, tail, n)
+    rolling = rolling_estimate(x, y, window, step=1, config=config)
+    for start, row in zip(rolling.starts.tolist(), rolling.values):
+        stop = start + window
+        assert np.array_equal(row, reference_window(x[start:stop], y[start:stop], config))
+    sign = -1.0 if tail == "upper" else 1.0
+    tied_threshold = tied_kth = signed = 0
+    for v in (x, y):
+        u = sign * v
+        for first, c in _module_spans(rolling.starts, window, k_eff, 1):
+            union = u[first:first + window + c - 1]
+            cut = np.sort(union)[k_eff + c - 2]
+            at_cut = union[union == cut]
+            tied_threshold += at_cut.size > 1 and (union <= cut).sum() > k_eff + c - 1
+            signed += cut == 0.0 and len(set(np.signbit(at_cut).tolist())) == 2
+        for t in rolling.starts.tolist():
+            kth = np.sort(u[t:t + window])[k_eff - 1]
+            tied_kth += (u[t:t + window] <= kth).sum() > k_eff
+    assert tied_threshold > 0 and tied_kth > 0
+    if kind != "integer":
+        assert signed > 0
 
 
 def _lattice_grid(rng, m, denominator):
