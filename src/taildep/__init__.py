@@ -22,7 +22,6 @@ from .errors import (
     InfeasibleError,
     ParameterError,
     TailDepError,
-    UnboundedError,
 )
 from .estimator import (
     EstimatorConfig,

@@ -201,16 +201,10 @@ def _cmd_envelope(args) -> None:
                      "min": lo, "max": hi, "exact": True}, args.out)
         return
     pins = [(0.5, args.tdc / 2.0)]
-    key, sep, text = args.measure.partition(":")
-    if args.measure != "l1" and not (key == "point" and sep):
+    if args.measure.partition(":")[0] not in ("l1", "point"):
         raise TailDepError("--measure must be linf, l1, or point:<s0>")
-    measure, s0 = meas.MEASURES[key].name, None
-    if sep:
-        try:
-            s0 = float(text)
-        except ValueError:
-            raise ConfigError(f"--measure {args.measure!r} needs a number after 'point:'") from None
-    result = measure_range(pins, measure, grid_size=args.grid, s0=s0,
+    key, s0 = meas.parse_measure(args.measure)
+    result = measure_range(pins, meas.MEASURES[key].name, grid_size=args.grid, s0=s0,
                            normalization=args.normalization)
     _write_json(result.to_dict(), args.out)
 

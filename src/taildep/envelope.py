@@ -52,7 +52,7 @@ class EnvelopeResult:
     argmin: TailDependenceFunction
     argmax: TailDependenceFunction
     resolution: float
-    lp_iterations: int = 0  # simplex iterations spent; 0 when both ends are closed forms
+    lp_iterations: int = 0  # dual pivots plus a pricing pass per solve; 0 for closed forms
 
     def to_dict(self) -> dict:
         return {
@@ -169,9 +169,10 @@ def _weighted_sum_max(idx: np.ndarray, val: np.ndarray, upper: np.ndarray, w: np
     envelope, gains each round the active affine piece of B_k wherever it
     overestimates B_k.  There are finitely many pieces, so the master bound
     meets the best curve found at the exact maximum.  One master lives for the
-    whole call: each round appends its cuts to the live simplex tableau, which
-    re-optimises from the last basis, and the iterations returned are those of
-    that one solver over every round.
+    whole call, with the scaled objective fixed at construction: each round
+    appends its cuts to the live simplex tableau, whose dual pass re-optimises
+    from the last basis, and the iterations returned are that one solver's
+    dual pivots plus one pricing pass per solve, over every round.
     """
     m = w.size - 1
     p = idx.size - 2  # interior anchors, one slope each (per unit s)
@@ -198,7 +199,11 @@ def _weighted_sum_max(idx: np.ndarray, val: np.ndarray, upper: np.ndarray, w: np
 
     # Mid-range slopes first, against the upper envelope as the first estimate.
     t, eta = 0.5 * (t_lo + t_hi), hi[p:]
-    master = SimplexSolver(np.zeros((0, p + n)), [], np.zeros(p + n), (hi - lo) / scale)
+    # The simplex's tolerances are absolute, so it sees every variable over
+    # [0, 1], every row with a unit epigraph coefficient, and an objective
+    # in which its reduced-cost tolerance is worth GAP_TOL.
+    master = SimplexSolver(np.zeros((0, p + n)), [], np.zeros(p + n), (hi - lo) / scale,
+                           obj * scale * (TOL_RC / GAP_TOL))
     best, argmax = -np.inf, x
     for _ in range(MAX_ROUNDS):
         # Interval 0 has no left line and interval p no right line.
@@ -220,15 +225,12 @@ def _weighted_sum_max(idx: np.ndarray, val: np.ndarray, upper: np.ndarray, w: np
         rhs = np.bincount(k, wi * np.choose(active, const), minlength=n)
         new = eta > part
         a, b = cut[new], rhs[new]
-        # The simplex's tolerances are absolute, so it sees every variable
-        # over [0, 1], every row with a unit epigraph coefficient, and an
-        # objective in which its reduced-cost tolerance is worth GAP_TOL.
         # Scaling is per row, so each round appends only its own rows to
         # the live master and the rows before them never change.
         az = a * scale
         row = az[:, p:].max(axis=1)
         master.add_rows(az / row[:, None], (b - a @ lo) / row)
-        sol = master.solve(obj * scale * (TOL_RC / GAP_TOL))
+        sol = master.solve()
         t, eta = t_lo + scale[:p] * sol.x[:p], scale[p:] * sol.x[p:]
     raise SolverError(f"avg_td maximum did not converge in {MAX_ROUNDS} cutting-plane rounds")
 
@@ -247,7 +249,8 @@ def measure_range(
     the upper envelope, attained by the tent through the anchors and the
     maximising grid point.  The ``avg_td`` maximum optimises one supporting
     slope per interior pin by an exact cutting plane (``_weighted_sum_max``);
-    ``lp_iterations`` counts the simplex iterations of its one live master LP.
+    ``lp_iterations`` counts the dual pivots of its one live master LP plus
+    one pricing pass per solve.
     """
     m = grid_size
     scale = scale_factor(normalization)

@@ -25,10 +25,6 @@ class InfeasibleError(TailDepError, ValueError):
     """A constraint system admits no solution (incompatible pins)."""
 
 
-class UnboundedError(TailDepError, RuntimeError):
-    """A linear program is unbounded in the optimization direction."""
-
-
 class SolverError(TailDepError, RuntimeError):
     """The simplex stopped without an answer (iteration limit, singular pivot),
     or its vertex failed validation as a curve."""

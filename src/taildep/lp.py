@@ -1,26 +1,23 @@
-"""Dense bounded-variable simplex, kept in-repo so the envelope code has no
-external solver dependency.  It solves the master LP of the cutting plane
+"""Dense bounded-variable dual simplex, kept in-repo so the envelope code has
+no external solver dependency.  It solves the master LP of the cutting plane
 behind the ``avg_td`` maximum in ``taildep.envelope``: a few epigraph and
 slope variables per interior pin, not one variable per grid point.
 
-Solves   max c.x   subject to   A x <= b,  lower <= x <= upper.
+Solves   max c.x   subject to   A x <= b,  lower <= x <= upper,
 
-Nonbasic variables sit at one of their bounds; slacks get [0, inf).  Phase 1
-introduces artificial columns only on rows whose slack starts negative and
-maximizes minus their sum; afterwards the artificials are frozen at zero (they
-act as fixed columns, so no tableau surgery is needed).  Pricing is Dantzig
-with a switch to Bland's rule after a run of degenerate steps, which
-guarantees termination.  The solver keeps its basis between ``solve`` calls,
-so sweeping many objectives over one feasible region is cheap.
-
-``add_rows`` appends cuts to the live tableau, each expressed in the current
-basis with its slack basic.  Appending rows leaves every reduced cost as it
-was, so the last optimal basis stays dual feasible, and the next ``solve``
-first runs a bounded dual simplex back to primal feasibility, then the primal
-loop; phase 1 runs only once per solver.  ``iterations`` counts every pricing
-pass of phase 1 and the primal loop and every dual pivot, summed over the
-solver's life.  ``solve`` raises ``SolverError`` rather than return a vertex
-that breaks a row or a bound.
+for one objective, fixed at construction, over a region that gains rows.
+Every structural bound must be finite; slacks get [0, inf).  The first basis
+is then dual feasible: every slack basic and every structural at the bound
+its cost favours.  Rows enter only through ``add_rows``, which expresses each
+in the current basis with its slack basic, so every reduced cost stays as it
+was.  Each ``solve`` is therefore one bounded dual simplex back to primal
+feasibility, followed by an optimality certificate: one pricing pass that
+raises ``SolverError`` if a nonbasic reduced cost is on the wrong side.
+Pricing is Dantzig with a switch to Bland's rule after a run of degenerate
+steps, which guarantees termination.  ``iterations`` counts every dual pivot
+plus one pricing pass per solve, summed over the solver's life.  ``solve``
+raises ``SolverError`` rather than return a vertex that breaks a row or a
+bound.
 """
 
 from __future__ import annotations
@@ -29,11 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError, SolverError, UnboundedError
+from .errors import InfeasibleError, SolverError
 
 TOL_RC = 1e-9      # reduced-cost optimality tolerance
 TOL_PIV = 1e-10    # smallest acceptable pivot magnitude
-TOL_FEAS = 1e-8    # phase-1 residual accepted as feasible
+TOL_FEAS = 1e-8    # row miss the dual pass accepts as feasible
 TOL_DUAL = 1e-13   # bound violation at which the dual pass moves a basic variable
 DEGEN_LIMIT = 60   # degenerate steps before switching to Bland's rule
 AT_LOWER, AT_UPPER, BASIC = 0, 1, 2
@@ -54,55 +51,47 @@ class LPSolution:
 
 
 class SimplexSolver:
-    """Reusable solver for one feasible region and many objectives."""
+    """Solver for one objective over a region that gains rows."""
 
-    def __init__(self, A, b, lower, upper):
-        A = np.atleast_2d(np.asarray(A, dtype=float))
-        b = np.asarray(b, dtype=float).ravel()
+    def __init__(self, A, b, lower, upper, c):
         lower = np.asarray(lower, dtype=float).ravel()
         upper = np.asarray(upper, dtype=float).ravel()
-        m, n = A.shape
-        if b.size != m or lower.size != n or upper.size != n:
+        c = np.asarray(c, dtype=float).ravel()
+        n = c.size
+        if lower.size != n or upper.size != n:
             raise ValueError("inconsistent LP dimensions")
+        if not np.all(np.isfinite(lower) & np.isfinite(upper)):
+            raise ValueError("every variable needs finite bounds")
         if np.any(lower > upper + 1e-12):
             raise InfeasibleError("a variable has lower bound above its upper bound")
 
         self.n_struct = n
-        self.n_rows = m
-        # Columns: structural, slack, then (appended lazily) artificial.
-        self.cols = np.hstack([A, np.eye(m)])
-        self.lower = np.concatenate([np.minimum(lower, upper), np.full(m, 0.0)])
-        self.upper = np.concatenate([upper, np.full(m, np.inf)])
-        self.b = b.copy()
-
-        self.T = self.cols.copy()
-        self.tb = b.copy()
-        self.basis = np.arange(n, n + m)
-        self.status = np.full(n + m, AT_LOWER, dtype=np.int8)
-        self.status[self.basis] = BASIC
+        self.n_rows = 0
+        # Columns: structural, then one slack per row.
+        self.cols = np.zeros((0, n))
+        self.T = np.zeros((0, n))
+        self.tb = np.zeros(0)
+        self.b = np.zeros(0)
+        self.lower = np.minimum(lower, upper)
+        self.upper = upper.copy()
+        self.c = c.copy()  # over every column; slacks cost nothing
+        self.basis = np.zeros(0, dtype=int)
+        # Each structural at the bound its cost favours: dual feasible.
+        self.status = np.where(c > 0.0, AT_UPPER, AT_LOWER).astype(np.int8)
         self.iterations = 0
-        self._c = None  # objective the basis is optimal for; None before phase 1
-        self._infeasibility = 0.0  # the residual accepted as feasible
+        self._infeasibility = 0.0  # the largest row miss accepted as feasible
+        self.add_rows(A, b)
 
     # -- public ------------------------------------------------------------
 
-    def solve(self, c) -> LPSolution:
-        """Maximize c.x from the current basis: phase 1 on the first call, a
-        dual pass over appended rows on later ones, then the primal loop."""
-        c = np.asarray(c, dtype=float).ravel()
-        if c.size != self.n_struct:
-            raise ValueError("objective length must match the structural variables")
-        if self._c is None:
-            self._phase1()
-        else:
-            self._dual(self._c)
-        c_full = np.zeros(self.T.shape[1])
-        c_full[: self.n_struct] = c
-        self._optimize(c_full)
-        self._c = c_full
+    def solve(self) -> LPSolution:
+        """Maximize c.x from the current basis: dual pivots back to primal
+        feasibility, then the optimality certificate."""
+        self._dual()
+        self._certify()
         x = self._extract()
         self._check_vertex(x)
-        return LPSolution(x, float(c @ x), self.iterations)
+        return LPSolution(x, float(self.c[: self.n_struct] @ x), self.iterations)
 
     def add_rows(self, A, b):
         """Append the rows A x <= b; the next ``solve`` starts from the kept basis."""
@@ -125,10 +114,9 @@ class SimplexSolver:
         self.b = np.concatenate([self.b, b])
         self.lower = np.concatenate([self.lower, np.zeros(k)])
         self.upper = np.concatenate([self.upper, np.full(k, np.inf)])
+        self.c = np.concatenate([self.c, np.zeros(k)])
         self.status = np.concatenate([self.status, np.full(k, BASIC, dtype=np.int8)])
         self.basis = np.concatenate([self.basis, np.arange(width, width + k)])
-        if self._c is not None:
-            self._c = np.concatenate([self._c, np.zeros(k)])
         self.n_rows += k
 
     # -- internals ----------------------------------------------------------
@@ -141,44 +129,14 @@ class SimplexSolver:
     def _basic_solution(self) -> np.ndarray:
         return self.tb - self.T @ self._nonbasic_values()
 
-    def _phase1(self):
-        xb = self._basic_solution()
-        bad = np.flatnonzero(xb < self.lower[self.basis] - TOL_FEAS)
-        if bad.size:
-            n_old = self.T.shape[1]
-            art_cols = np.zeros((self.n_rows, bad.size))
-            for j, row in enumerate(bad):
-                art_cols[row, j] = -1.0
-            self.cols = np.hstack([self.cols, art_cols])
-            # B^-1 is the slack block of the tableau.
-            binv = self.T[:, self.n_struct : self.n_struct + self.n_rows]
-            self.T = np.hstack([self.T, binv @ art_cols])
-            self.lower = np.concatenate([self.lower, np.zeros(bad.size)])
-            self.upper = np.concatenate([self.upper, np.full(bad.size, np.inf)])
-            self.status = np.concatenate([self.status, np.full(bad.size, AT_LOWER, dtype=np.int8)])
-            for j, row in enumerate(bad):
-                # Swap the negative slack out for the artificial, directly.
-                self._pivot(row, n_old + j, AT_LOWER)
-            c_art = np.zeros(self.T.shape[1])
-            c_art[n_old:] = -1.0
-            self._optimize(c_art)
-            residual = -float(c_art @ self._full_solution())
-            if residual > TOL_FEAS:
-                raise InfeasibleError(f"constraints are infeasible (residual {residual:.3e})")
-            self._infeasibility = residual
-            # Freeze artificials at zero; fixed columns never re-enter.
-            self.upper[n_old:] = 0.0
+    def _reduced_costs(self) -> np.ndarray:
+        return self.c - self.c[self.basis] @ self.T
 
-    def _full_solution(self) -> np.ndarray:
-        x = self._nonbasic_values()
-        x[self.basis] = self._basic_solution()
-        return x
-
-    def _dual(self, c_full: np.ndarray):
-        """Bounded dual simplex from a basis optimal for ``c_full``: pivot out
-        the basic variable furthest outside its bounds until none is.  A row
-        no column can repair proves the region infeasible, unless it misses by
-        at most TOL_FEAS, which is accepted like a phase-1 residual."""
+    def _dual(self):
+        """Bounded dual simplex from a dual feasible basis: pivot out the
+        basic variable furthest outside its bounds until none is.  A row no
+        column can repair proves the region infeasible, unless it misses by
+        at most TOL_FEAS, which is accepted as feasible."""
         bland = False
         degen_streak = 0
         accepted = np.zeros(self.n_rows, dtype=bool)
@@ -210,7 +168,7 @@ class SimplexSolver:
                 accepted[row] = True
                 continue
             # The ratio test keeps every reduced cost on its optimal side.
-            r = c_full - c_full[self.basis] @ self.T
+            r = self._reduced_costs()
             r = np.maximum(np.where(at_lower, -r, r)[candidates], 0.0)
             ratio = r / np.abs(alpha[candidates])
             theta = float(ratio.min())
@@ -226,62 +184,17 @@ class SimplexSolver:
                 bland = False
         raise SolverError("dual simplex iteration limit exceeded")
 
-    def _optimize(self, c_full: np.ndarray):
-        bland = False
-        degen_streak = 0
-        max_iter = 10_000 + 50 * (self.n_rows + self.T.shape[1])
-        for _ in range(max_iter):
-            self.iterations += 1
-            xb = self._basic_solution()
-            r = c_full - c_full[self.basis] @ self.T
-            movable = self.status != BASIC
-            movable &= self.lower < self.upper  # fixed columns never move
-            improving = movable & (
-                ((self.status == AT_LOWER) & (r > TOL_RC))
-                | ((self.status == AT_UPPER) & (r < -TOL_RC))
-            )
-            candidates = np.flatnonzero(improving)
-            if candidates.size == 0:
-                return
-            if bland:
-                q = int(candidates[0])
-            else:
-                q = int(candidates[np.argmax(np.abs(r[candidates]))])
-            direction = 1.0 if self.status[q] == AT_LOWER else -1.0
-
-            d = direction * self.T[:, q]
-            lo_b = self.lower[self.basis]
-            up_b = self.upper[self.basis]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                dec = np.where(d > TOL_PIV, (xb - lo_b) / d, np.inf)
-                inc = np.where(d < -TOL_PIV, (up_b - xb) / (-d), np.inf)
-            limits = np.minimum(dec, inc)
-            limits = np.maximum(limits, 0.0)  # degenerate rows clamp at zero
-            row_step = float(np.min(limits)) if limits.size else np.inf
-            flip_step = self.upper[q] - self.lower[q]
-
-            if flip_step <= row_step:
-                if not np.isfinite(flip_step):
-                    raise UnboundedError("objective is unbounded over the feasible region")
-                self.status[q] = AT_UPPER if self.status[q] == AT_LOWER else AT_LOWER
-                step = flip_step
-            else:
-                tied = np.flatnonzero(limits <= row_step + TOL_PIV)
-                if bland:
-                    leave = tied[np.argmin(self.basis[tied])]
-                else:
-                    leave = tied[np.argmax(np.abs(d[tied]))]
-                self._pivot(int(leave), q, AT_LOWER if d[leave] > 0 else AT_UPPER)
-                step = row_step
-
-            if step <= TOL_PIV:
-                degen_streak += 1
-                if degen_streak >= DEGEN_LIMIT:
-                    bland = True
-            else:
-                degen_streak = 0
-                bland = False
-        raise SolverError("simplex iteration limit exceeded")
+    def _certify(self):
+        """One pricing pass: raise SolverError unless no nonbasic variable
+        could improve the objective by leaving its bound."""
+        self.iterations += 1
+        r = self._reduced_costs()
+        movable = (self.status != BASIC) & (self.lower < self.upper)
+        wrong = movable & np.where(self.status == AT_LOWER, r > TOL_RC, r < -TOL_RC)
+        if np.any(wrong):
+            j = int(np.flatnonzero(wrong)[0])
+            raise SolverError(f"dual simplex ended off the optimum: reduced cost "
+                              f"{r[j]:.3e} of column {j}")
 
     def _pivot(self, row: int, col: int, leaves_at: int):
         """Column ``col`` enters the basis in ``row``; the variable there
@@ -319,9 +232,9 @@ class SimplexSolver:
 
         The tolerances above are absolute, so on a badly scaled problem the
         pivots can end on a basis whose vertex breaks a row.  A row may break
-        by the residual phase 1 accepted, plus TOL_FEAS times the row's scale
-        |b_i| + sum_j |A_ij x_j|; a bound by TOL_FEAS times the bound, with a
-        floor of 1.
+        by the largest miss the dual pass accepted, plus TOL_FEAS times the
+        row's scale |b_i| + sum_j |A_ij x_j|; a bound by TOL_FEAS times the
+        bound, with a floor of 1.
         """
         A = self.cols[:, : self.n_struct]
         residual = A @ x - self.b

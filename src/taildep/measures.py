@@ -234,21 +234,22 @@ MEASURES = {
 
 
 def parse_measure(name: str):
-    """(row function, argument) for a measure name; ConfigError if unknown or malformed."""
+    """(``MEASURES`` key, argument) for a measure name; ConfigError if unknown
+    or malformed."""
     key, sep, text = name.partition(":")
     try:
-        fn, check, _ = MEASURES[key]
+        check = MEASURES[key].check
     except KeyError:
         raise ConfigError(f"unknown measure {name!r}") from None
     if check is None:
         if sep:
             raise ConfigError(f"measure {key!r} takes no parameter; got {name!r}")
-        return fn, None
+        return key, None
     try:
         arg = float(text)
     except ValueError:
         raise ConfigError(f"measure {name!r} needs a number after {key + ':'!r}") from None
-    return fn, check(arg)
+    return key, check(arg)
 
 
 def measure_rows(curves: np.ndarray, names, normalization: str = RAW) -> np.ndarray:
@@ -259,6 +260,6 @@ def measure_rows(curves: np.ndarray, names, normalization: str = RAW) -> np.ndar
     out = np.empty((curves.shape[0], len(parsed)))
     for lo in range(0, curves.shape[0], MEASURE_CHUNK_ROWS):
         chunk = curves[lo:lo + MEASURE_CHUNK_ROWS]
-        for col, (fn, arg) in enumerate(parsed):
-            out[lo:lo + chunk.shape[0], col] = fn(chunk, scale, arg)
+        for col, (key, arg) in enumerate(parsed):
+            out[lo:lo + chunk.shape[0], col] = MEASURES[key].rows(chunk, scale, arg)
     return out

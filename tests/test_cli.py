@@ -178,12 +178,16 @@ def test_envelope_l1_at_a_large_grid(lam, capsys):
     assert abs(doc["min"] - lam / 4.0) <= 1e-12
 
 
-@pytest.mark.parametrize("measure", ["point:abc", "point:", "point:nan", "point:inf"])
+@pytest.mark.parametrize("measure", ["point:abc", "point:", "point:nan", "point:inf",
+                                     "tdc", "lp:2", "point:-0.5"])
 def test_envelope_unusable_point_exits_2(measure, capsys):
     assert main(["envelope", "--tdc", "0.5", "--measure", measure, "--grid", "20"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+    # Measures with no envelope keep the command's own message.
+    if not measure.startswith("point"):
+        assert "--measure must be linf, l1, or point:<s0>" in captured.err
 
 
 def test_missing_input_files_exit_2(tmp_path, capsys):

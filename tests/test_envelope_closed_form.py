@@ -176,7 +176,7 @@ def simplex_accepts(pins, m):
     A, bounds = oracle_lp(m, pins)
     lower, upper = np.array(bounds).T
     try:
-        SimplexSolver(A, np.zeros(m - 1), lower, upper).solve(np.zeros(m + 1))
+        SimplexSolver(A, np.zeros(m - 1), lower, upper, np.zeros(m + 1)).solve()
     except InfeasibleError:
         return False
     return True
@@ -185,7 +185,7 @@ def simplex_accepts(pins, m):
 @pytest.mark.parametrize("m, i1, i2", [(20, 5, 10), (60, 10, 30), (400, 100, 200)])
 def test_concavity_tolerance_near_the_edge(m, i1, i2):
     # Within the grid's concavity tolerance both the slope test and the
-    # simplex's phase 1 accept, the curves returned validate, and the upper
+    # simplex's dual pass accept, the curves returned validate, and the upper
     # envelope never dips under the lower one.
     pins = kinked_pins(m, i1, i2, 0.5 * CONCAVITY_TOL)
     assert simplex_accepts(pins, m)
@@ -197,14 +197,14 @@ def test_concavity_tolerance_near_the_edge(m, i1, i2):
     assert res.argmax.kind is TDFKind.VALIDATED and res.min_value <= res.max_value
     for seed in range(20):
         assert random_feasible(pins, grid_size=m, seed=seed).kind is TDFKind.VALIDATED
-    # Well past the phase-1 residual (1e-8) both reject.
+    # Well past the dual pass's accepted miss (1e-8) both reject.
     pins = kinked_pins(m, i1, i2, 2e-8)
     assert not simplex_accepts(pins, m)
     for build in (lambda: measure_range(pins, "max_td", grid_size=m),
                   lambda: random_feasible(pins, grid_size=m)):
         with pytest.raises(InfeasibleError, match="not jointly concave"):
             build()
-    # In between, phase 1 accepts but no curve through the pins passes the
+    # In between, the dual pass accepts but no curve through the pins passes the
     # grid's concavity check, so the slope test rejects.
     pins = kinked_pins(m, i1, i2, 5e-9)
     assert simplex_accepts(pins, m)
@@ -272,19 +272,20 @@ def test_live_master_pivots_less_and_matches_a_cold_master(monkeypatch):
     solves = []
     solve = SimplexSolver.solve
 
-    def recording(self, c):
-        sol = solve(self, c)
-        solves.append((self, c, sol))
+    def recording(self):
+        sol = solve(self)
+        solves.append((self, sol))
         return sol
 
     monkeypatch.setattr(SimplexSolver, "solve", recording)
     res = measure_range(clayton_pins(), "avg_td", grid_size=400)
     assert res.lp_iterations < 208
-    master, c, last = solves[-1]
-    assert len(solves) > 1 and all(s is master for s, _, _ in solves)
+    master, last = solves[-1]
+    assert len(solves) > 1 and all(s is master for s, _ in solves)
     assert res.lp_iterations == last.iterations
     # A cold master on the same stacked rows reaches the same optimum; the
     # master's objective is the avg_td bound times TOL_RC / GAP_TOL.
     n = master.n_struct
-    cold = solve(SimplexSolver(master.cols[:, :n], master.b, master.lower[:n], master.upper[:n]), c)
+    cold = solve(SimplexSolver(master.cols[:, :n], master.b, master.lower[:n], master.upper[:n],
+                               master.c[:n]))
     assert abs(cold.value - last.value) * GAP_TOL / TOL_RC <= TOL
