@@ -24,10 +24,6 @@ from .tdf import TailDependenceFunction
 RAW = "raw"
 DOUBLED = "doubled"
 
-# Each grid cell is split into 4 subintervals for composite Simpson quadrature,
-# so the kinks of the piecewise-linear function sit on quadrature breakpoints.
-SIMPSON_REFINEMENT = 4
-
 
 @dataclass(frozen=True)
 class MeasureValue:
@@ -82,7 +78,8 @@ def lp_norm(tdf: TailDependenceFunction, p: float, normalization: str = RAW) -> 
     """(integral of L^p)^(1/p) for finite p >= 1 (the sup case is max_td).
 
     Computed as M * (integral of (L / M)^p)^(1/p) with M the maximum of L, so
-    the value stays positive for a nonzero L at any p.
+    the value stays positive for a nonzero L at any p; exact for the
+    piecewise-linear representation.
     """
     return _measure(tdf, "lp", normalization, p, {"p": float(p)})
 
@@ -90,8 +87,8 @@ def lp_norm(tdf: TailDependenceFunction, p: float, normalization: str = RAW) -> 
 def spearman_ev(tdf: TailDependenceFunction) -> MeasureValue:
     """Spearman's rho of the extreme-value copula with stable tail function L.
 
-    Equals 12 * integral (2 - L(s))^-2 ds - 3; 0 for the zero function, 1 for
-    the comonotone one.  Quadrature error is far below the 1e-8 contract.
+    Equals 12 * integral (2 - L(s))^-2 ds - 3, exact for the piecewise-linear
+    representation and capped at 1: 0 for the zero function, 1 for comonotone.
     """
     return _measure(tdf, "spearman_ev")
 
@@ -139,33 +136,19 @@ def ev_copula(tdf: TailDependenceFunction, u, v):
 # (numpy sums a Fortran-ordered array along axis 1 in another order), so a
 # row's value has the same bits however many rows are measured with it.
 
-# Rows measured together; bounds the (rows, 4m + 1) quadrature temporaries.
+# Rows measured together; bounds the (rows, m) per-cell temporaries.
 MEASURE_CHUNK_ROWS = 64
 
 
-def _interp_rows(v: np.ndarray, x) -> np.ndarray:
+def _interp_rows(v: np.ndarray, x: float) -> np.ndarray:
     """``np.interp(x, grid, row)`` for every row: the same search and formula."""
     m = v.shape[1] - 1
     grid = np.arange(m + 1) / m
-    x = np.asarray(x, dtype=float)
-    j = np.searchsorted(grid, x, side="right") - 1  # grid[j] <= x < grid[j + 1]
-    jc = np.minimum(j, m - 1)
-    slope = (v[:, jc + 1] - v[:, jc]) / (grid[jc + 1] - grid[jc])
-    # Column fancy-indexing yields Fortran order; the sums downstream need rows.
-    return np.ascontiguousarray(np.where(grid[j] == x, v[:, j], slope * (x - grid[jc]) + v[:, jc]))
-
-
-def _simpson_rows(v: np.ndarray, integrand) -> np.ndarray:
-    m = v.shape[1] - 1
-    n_sub = m * SIMPSON_REFINEMENT
-    s = np.arange(n_sub + 1) / n_sub
-    g = integrand(_interp_rows(v, s))
-    h = 1.0 / n_sub
-    weights = np.full(n_sub + 1, 2.0)
-    weights[1::2] = 4.0
-    weights[0] = weights[-1] = 1.0
-    # np.dot per row: a matrix-vector product may sum in another order.
-    return h / 3.0 * np.array([np.dot(weights, row) for row in g])
+    j = int(np.searchsorted(grid, x, side="right")) - 1  # grid[j] <= x < grid[j + 1]
+    if grid[j] == x:
+        return v[:, j]
+    slope = (v[:, j + 1] - v[:, j]) / (grid[j + 1] - grid[j])
+    return slope * (x - grid[j]) + v[:, j]
 
 
 def _tdc_rows(v, scale, arg):
@@ -181,7 +164,11 @@ def _linf_rows(v, scale, arg):
 
 
 def _spearman_rows(v, scale, arg):
-    return 12.0 * _simpson_rows(v, lambda t: (2.0 - t) ** -2) - 3.0
+    # A cell from a to b adds h / ((2 - a)(2 - b)) >= h / 4, so the value is
+    # >= 0; rounding can lift the comonotone value past 1 by a few ulps.
+    t = 2.0 - v
+    integral = (1.0 / (t[:, :-1] * t[:, 1:])).sum(axis=1) / (v.shape[1] - 1)
+    return np.minimum(12.0 * integral - 3.0, 1.0)
 
 
 def _extremal_rows(v, scale, arg):
@@ -193,7 +180,15 @@ def _lp_rows(v, scale, p):
     # M * (integral of (L / M)^p)^(1/p), M the row maximum: L^p itself
     # underflows to 0 at large p.  A zero row gives 0.
     top = v.max(axis=1)
-    integral = _simpson_rows(v / np.where(top > 0.0, top, 1.0)[:, None], lambda t: t ** p)
+    y = v / np.where(top > 0.0, top, 1.0)[:, None]
+    lo, hi = np.minimum(y[:, :-1], y[:, 1:]), np.maximum(y[:, :-1], y[:, 1:])
+    # A cell from lo to hi adds h hi^p (1 - r^(p+1)) / ((p+1)(1 - r)), r = lo / hi,
+    # in expm1/log1p form (r = 0: log_r = -inf); lo == hi adds h hi^p, 0 if hi == 0.
+    hi_p = hi ** p
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_r = np.log1p((lo - hi) / hi)
+        cell = hi_p * np.expm1((p + 1.0) * log_r) / ((p + 1.0) * np.expm1(log_r))
+    integral = np.where(lo == hi, hi_p, cell).sum(axis=1) / (v.shape[1] - 1)
     # Python's float power: numpy's array power may round differently.
     return scale * top * np.array([x ** (1.0 / p) for x in integral.tolist()])
 

@@ -2,6 +2,10 @@
 
 Each function computes one window, one curve or one series as the formulas
 state it, with a plain loop or one numpy call per quantity, on a 1-D array.
+The integral measures (``spearman_ev``, ``lp:<p>``) sum one closed-form term
+per grid cell, exact for a piecewise-linear curve; the ``lp`` terms take
+numpy's ``log1p``, ``expm1`` and ``**`` on 1-D arrays of cells, since the
+``math`` module's functions may round them differently.
 The package's one-curve functions are one-row calls of its batch kernels, so
 the tests check every kernel row against these functions instead, by ``==``.
 This file imports no kernel of the package; ``test_reference.py`` checks that.
@@ -10,7 +14,6 @@ This file imports no kernel of the package; ``test_reference.py`` checks that.
 import numpy as np
 
 LOWER, UPPER = "lower", "upper"
-SIMPSON_REFINEMENT = 4  # subintervals per grid cell, so kinks sit on breakpoints
 
 
 def _grid(m):
@@ -70,18 +73,29 @@ def projection(values):
     return out
 
 
-def simpson(values, integrand):
-    """Composite Simpson of integrand(L) over [0, 1], SIMPSON_REFINEMENT
-    subintervals per grid cell."""
-    v = np.asarray(values, dtype=float)
-    n_sub = (v.size - 1) * SIMPSON_REFINEMENT
-    s = np.arange(n_sub + 1) / n_sub
-    g = integrand(np.interp(s, _grid(v.size - 1), v))
-    h = 1.0 / n_sub
-    weights = np.full(n_sub + 1, 2.0)
-    weights[1::2] = 4.0
-    weights[0] = weights[-1] = 1.0
-    return float(h / 3.0 * np.dot(weights, g))
+def spearman(values):
+    """12 * integral of (2 - L)^-2 - 3, capped at 1: one exact term per grid
+    cell, 1 / ((2 - a)(2 - b)) for a cell from a to b, in Python floats."""
+    v = [float(x) for x in values]
+    m = len(v) - 1
+    terms = [1.0 / ((2.0 - v[i]) * (2.0 - v[i + 1])) for i in range(m)]
+    return min(12.0 * (float(np.sum(terms)) / m) - 3.0, 1.0)
+
+
+def power_integral(values, p):
+    """Integral of y^p over [0, 1] for grid values y in [0, 1]: per cell from
+    lo to hi, h hi^p expm1((p+1)x) / ((p+1) expm1(x)) with x = log(lo / hi);
+    hi^p when lo == hi."""
+    y = np.asarray(values, dtype=float)
+    m = y.size - 1
+    lo = np.array([min(y[i], y[i + 1]) for i in range(m)])
+    hi = np.array([max(y[i], y[i + 1]) for i in range(m)])
+    hi_p = hi ** p
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = np.log1p((lo - hi) / hi)
+        closed = hi_p * np.expm1((p + 1.0) * x) / ((p + 1.0) * np.expm1(x))
+    cells = [hi_p[i] if lo[i] == hi[i] else closed[i] for i in range(m)]
+    return float(np.sum(cells)) / m
 
 
 def measure(values, name, normalization="raw"):
@@ -100,7 +114,7 @@ def measure(values, name, normalization="raw"):
     if key == "l1":
         return scale * float((v.sum() - 0.5 * (v[0] + v[-1])) / m)
     if key == "spearman_ev":
-        return 12.0 * simpson(v, lambda t: (2.0 - t) ** -2) - 3.0
+        return spearman(v)
     if key == "extremal_dep":
         lam = measure(v, "tdc")
         return lam / (2.0 - lam)
@@ -108,7 +122,7 @@ def measure(values, name, normalization="raw"):
     p, top = float(arg), float(np.max(v))
     if top == 0.0:
         return 0.0
-    return scale * top * simpson(v / top, lambda t: t ** p) ** (1.0 / p)
+    return scale * top * power_integral(v / top, p) ** (1.0 / p)
 
 
 def band(lam, normalization="raw"):

@@ -5,6 +5,8 @@ families, including the exact piecewise-linear discretization bias where
 the grid makes it visible.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,7 +28,7 @@ from taildep.measures import (
 )
 from taildep.tdf import clayton, comonotone, from_grid, independence, parabola, tent
 
-from conftest import make_random_tdf
+from conftest import make_random_tdf, make_symmetric_tdf
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +110,23 @@ def test_lp_norm_requires_p_at_least_one(top):
         lp_norm(top, 0.5)
 
 
+@pytest.mark.parametrize("m", [100, 200, 400])
+@pytest.mark.parametrize("p", [1.5, 10.0, 1000.0, 1e6])
+def test_lp_norm_exact_on_comonotone(m, p):
+    # integral of min(s, 1 - s)^p is 2^-p / (p + 1) on any even grid.
+    expected = 0.5 * (p + 1.0) ** (-1.0 / p)
+    assert abs(lp_norm(comonotone(m), p).value - expected) <= 2 * math.ulp(expected)
+
+
+@pytest.mark.parametrize("m", [2, 3, 50, 201])
+def test_lp_one_is_the_average(m):
+    rng = np.random.default_rng(m)
+    for _ in range(50):
+        f = make_random_tdf(rng, grid_size=m)
+        average = average_tail_dependence(f).value
+        assert abs(lp_norm(f, 1.0).value - average) <= 4 * math.ulp(average)
+
+
 # ---------------------------------------------------------------------------
 # Spearman and extremal coefficients
 # ---------------------------------------------------------------------------
@@ -115,6 +134,26 @@ def test_lp_norm_requires_p_at_least_one(top):
 def test_spearman_ev_range(top, bottom):
     assert float(spearman_ev(top)) == pytest.approx(1.0, abs=1e-6)
     assert float(spearman_ev(bottom)) == pytest.approx(0.0, abs=1e-12)
+
+
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 400), symmetric=st.booleans(),
+       scale=st.sampled_from([None, 1.0]))
+@settings(max_examples=200, deadline=None)
+def test_spearman_ev_stays_in_unit_interval(seed, m, symmetric, scale):
+    rng = np.random.default_rng(seed)
+    if symmetric:
+        f = make_symmetric_tdf(rng, grid_size=m - m % 2)
+    else:
+        f = make_random_tdf(rng, grid_size=m, scale=scale)
+    assert 0.0 <= spearman_ev(f).value <= 1.0
+
+
+@pytest.mark.parametrize("m", [54, 108, 1076])
+def test_spearman_ev_comonotone_rounds_to_at_most_one(m):
+    # The exact cell sum rounds above 1 on these grids; the cap holds it.
+    value = spearman_ev(comonotone(m)).value
+    assert 1.0 - 1e-15 <= value <= 1.0
+    assert spearman_ev(independence(m)).value == 0.0
 
 
 def test_extremal_dependence_formula(top, bottom):
