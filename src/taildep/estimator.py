@@ -157,13 +157,6 @@ class RollingEstimate:
     index: np.ndarray = field(repr=False)  # (windows,) run of each window
     skipped: tuple[int, ...]
 
-    @property
-    def values(self) -> np.ndarray:
-        """One row per window, ``rows[index]``, expanded on each access (read-only)."""
-        values = self.rows[self.index]
-        values.setflags(write=False)
-        return values
-
     def __len__(self) -> int:
         return len(self.starts)
 
@@ -181,7 +174,7 @@ def rolling_estimate(
     containing NaN in either series is skipped and reported in ``skipped``.
     The estimates of the other windows come in runs of bitwise-equal
     consecutive rows: ``rows`` holds each run once and ``index`` gives each
-    window's run, so ``values`` is ``rows[index]``.
+    window's run, so window j's estimate is ``rows[index[j]]``.
 
     A window that only drops and adds a point strictly beyond the previous
     window's k-th value in both series has the previous window's corners, so

@@ -248,17 +248,17 @@ def _load_long(header: list[str], rows) -> ReturnPanel:
 def log_returns(panel: ReturnPanel) -> ReturnPanel:
     """Log price differences per ticker; NaN whenever either price is missing.
 
-    Non-positive prices are data errors.  The first date row drops out.
+    Non-positive and infinite prices are data errors.  The first date row
+    drops out.
     """
     if len(panel.dates) < 2:
         raise DataError("need at least two dates to form returns")
     prices = panel.values
-    bad = np.argwhere(~np.isnan(prices) & (prices <= 0.0))
+    bad = np.argwhere(~np.isnan(prices) & ~((prices > 0.0) & (prices < np.inf)))
     if bad.size:
         i, j = bad[0]
-        raise DataError(
-            f"non-positive price for {panel.tickers[j]!r} on {panel.dates[i]}: {prices[i, j]}"
-        )
+        kind = "infinite" if np.isinf(prices[i, j]) else "non-positive"
+        raise DataError(f"{kind} price for {panel.tickers[j]!r} on {panel.dates[i]}: {prices[i, j]}")
     with np.errstate(invalid="ignore"):
         rets = np.log(prices[1:]) - np.log(prices[:-1])
     return ReturnPanel(panel.dates[1:], panel.tickers, rets)

@@ -15,8 +15,8 @@ every reduction runs along a contiguous last axis, which numpy sums in the
 same order as a single curve, so a row's result does not depend on the rows
 stacked with it.  ``empirical_tdf``, ``least_concave_majorant`` and the
 ``measures`` functions are one-row calls of these kernels; the loops in
-``tests/reference.py`` are their oracle.  The later stages read the run
-index: per-date statistics and CSV text are computed once per run.
+``tests/reference.py`` are their oracle.  Every array after the estimator
+holds one row per run, and ``index`` maps windows (or dates) to runs.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .errors import ConfigError, DataError
 from .estimator import EstimatorConfig, _window_estimates
 from .measures import DOUBLED
 from .panel import ReturnPanel, aggregate_rows, series_stats_rows
-from .tdf import TailDependenceFunction, TDFKind, least_concave_majorant_rows
+from .tdf import least_concave_majorant_rows
 
 # The one-pair estimator and the one-window projection stay importable here,
 # where perfbench/tracing.py wraps them.
@@ -66,35 +66,24 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class PairReport:
-    """All windows of one ticker pair; window j measured ``rows[index[j]]``."""
+    """All windows of one ticker pair, in runs: window j reads row ``index[j]``
+    of ``rows``, ``values`` and ``linf_bounds``."""
 
     base: str
     other: str
     measure_names: tuple[str, ...]
     starts: np.ndarray = field(repr=False)  # (windows,) first row of each window
     end_dates: tuple[str, ...] = field(repr=False)
-    values: np.ndarray = field(repr=False)  # (windows, measures), columns as measure_names
-    linf_bounds: np.ndarray = field(repr=False)  # (windows, 2): feasible linf range
+    values: np.ndarray = field(repr=False)  # (runs, measures), columns as measure_names
+    linf_bounds: np.ndarray = field(repr=False)  # (runs, 2): feasible linf range
     rows: np.ndarray = field(repr=False)  # (runs, m + 1): the functions measured
     index: np.ndarray = field(repr=False)  # (windows,) run of each window
     skipped: tuple[int, ...]
     config: PipelineConfig
 
-    @property
-    def curves(self) -> np.ndarray:
-        """One row per window, ``rows[index]``, expanded on each access (read-only)."""
-        curves = self.rows[self.index]
-        curves.setflags(write=False)
-        return curves
-
     def value(self, name: str) -> np.ndarray:
-        """The named measure over the windows."""
-        return self.values[:, self.measure_names.index(name)]
-
-    def tdf(self, window: int) -> TailDependenceFunction:
-        """The function measured in one window (VALIDATED when projected)."""
-        kind = TDFKind.VALIDATED if self.config.project else TDFKind.EMPIRICAL
-        return TailDependenceFunction(self.config.grid_size, self.rows[self.index[window]], kind)
+        """The named measure over the windows, ``values[index, col]``."""
+        return self.values[self.index, self.measure_names.index(name)]
 
 
 def run_pairs(
@@ -140,8 +129,8 @@ def run_pairs(
     for j, (other, est) in enumerate(zip(others, estimates)):
         runs = slice(offsets[j], offsets[j + 1])
         end_dates = tuple(panel.dates[t + config.window - 1] for t in est.starts.tolist())
-        reports.append(PairReport(base, other, names, est.starts, end_dates, values[runs][est.index],
-                                  bands[runs][est.index], rows[runs], est.index, est.skipped, config))
+        reports.append(PairReport(base, other, names, est.starts, end_dates, values[runs], bands[runs],
+                                  rows[runs], est.index, est.skipped, config))
     return reports
 
 
@@ -170,11 +159,11 @@ def run_pair(
 def cross_section(reports: list[PairReport]) -> dict:
     """Aggregate pair reports across pairs.
 
-    Per window date and measure: cross-pair statistics, a (dates, CROSS_STATS)
-    array (the per-date rows), computed once per run of dates on which no
-    pair's run index changes; ``index`` gives each date's run.  Per measure:
-    each pair's time-series statistic, aggregated across pairs (the summary
-    table).  All reports must share identical window dates.
+    Per window date and measure: cross-pair statistics, a (date-runs,
+    CROSS_STATS) array, one row per run of dates on which no pair's run index
+    changes; ``index`` gives each date's row.  Per measure: each pair's
+    time-series statistic, aggregated across pairs (the summary table).  All
+    reports must share identical window dates.
     """
     if not reports:
         raise DataError("no pair reports to aggregate")
@@ -192,9 +181,9 @@ def cross_section(reports: list[PairReport]) -> dict:
     first, index = np.flatnonzero(new), np.cumsum(new) - 1
     per_date = {}
     series = []  # per measure, (CROSS_STATS, pairs)
-    for col, name in enumerate(names):
-        matrix = np.array([rep.values[:, col] for rep in reports])  # pairs x windows
-        per_date[name] = series_stats_rows(matrix.T[first])[index]
+    for name in names:
+        matrix = np.array([rep.value(name) for rep in reports])  # pairs x windows
+        per_date[name] = series_stats_rows(matrix.T[first])
         series.append(series_stats_rows(matrix).T)
     # The summary table: every (measure, statistic) row aggregated in one call.
     aggs = iter(aggregate_rows(np.concatenate(series)).tolist())
@@ -211,11 +200,10 @@ def format_float(x: float) -> str:
 
 
 def _row_texts(rows: np.ndarray, index: np.ndarray) -> list[str]:
-    """The CSV cells of each row, formatted once per run: ``index`` gives each
-    row's run (non-decreasing from 0), and a run prints its first row."""
-    first = np.flatnonzero(np.diff(index, prepend=-1))
+    """The CSV cells of each window (or date) of an array held in runs: every
+    row of ``rows`` is formatted once, and ``index`` gives each line's row."""
     # tolist() gives Python floats, whose repr is format_float's text.
-    text = [",".join(map(repr, row)) for row in rows[first].tolist()]
+    text = [",".join(map(repr, row)) for row in rows.tolist()]
     return [text[i] for i in index.tolist()]
 
 
@@ -227,8 +215,8 @@ def write_run(
     stats: dict | None = None,
 ) -> None:
     """Write a run directory: manifest.json, per-pair CSVs, cross-section files;
-    CSV cells are formatted once per run of a report's or the cross-section's
-    ``index`` (``_row_texts``)."""
+    CSV cells are formatted once per row of the reports' and the
+    cross-section's per-run arrays (``_row_texts``)."""
     out = Path(out_dir)
     (out / "pairs").mkdir(parents=True, exist_ok=True)
     with open(out / "manifest.json", "w", encoding="utf-8") as fh:

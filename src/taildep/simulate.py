@@ -46,6 +46,8 @@ class CopulaSpec:
         if self.family in (CLAYTON, GUMBEL_SURVIVAL):
             if self.theta is None:
                 raise ParameterError(f"{self.family} requires theta")
+            if not math.isfinite(self.theta):
+                raise ParameterError(f"{self.family} requires a finite theta")
             if self.family == CLAYTON and not self.theta > 0.0:
                 raise ParameterError("clayton requires theta > 0")
             if self.family == GUMBEL_SURVIVAL and not self.theta >= 1.0:
@@ -60,7 +62,18 @@ class CopulaSpec:
 
 
 def sample(spec: CopulaSpec) -> np.ndarray:
-    """Draw n pseudo-uniform pairs from the copula; shape (n, 2)."""
+    """Draw n pseudo-uniform pairs from the copula; shape (n, 2).
+
+    A theta so large that a draw leaves the float range raises ParameterError.
+    """
+    try:
+        return _sample(spec)
+    except (OverflowError, ZeroDivisionError):  # or a division by a power underflowed to 0.0
+        raise ParameterError(f"{spec.family} with theta={spec.theta} leaves the float range; "
+                             "use a smaller theta") from None
+
+
+def _sample(spec: CopulaSpec) -> np.ndarray:
     rng = SplitMix64(spec.seed)
     out = np.empty((spec.n, 2))
     if spec.family == INDEPENDENCE:
@@ -75,7 +88,10 @@ def sample(spec: CopulaSpec) -> np.ndarray:
         for i in range(spec.n):
             u = rng.uniform()
             t = rng.uniform()
-            v = ((t ** (-theta / (1.0 + theta)) - 1.0) * u ** -theta + 1.0) ** (-1.0 / theta)
+            base = (t ** (-theta / (1.0 + theta)) - 1.0) * u ** -theta + 1.0
+            if base == math.inf:  # a product that overflowed without raising
+                raise OverflowError
+            v = base ** (-1.0 / theta)
             out[i, 0] = u
             out[i, 1] = v
     elif spec.family == GUMBEL_SURVIVAL:
@@ -105,6 +121,8 @@ def _sample_gumbel_survival(rng: SplitMix64, theta: float, out: np.ndarray):
         s = (math.sin(alpha * angle) / math.sin(angle) ** theta) * (
             math.sin((1.0 - alpha) * angle) / w
         ) ** ((1.0 - alpha) / alpha)
+        if not s < math.inf:  # a quotient that overflowed without raising, or NaN
+            raise OverflowError
         u = math.exp(-((rng.exponential() / s) ** alpha))
         v = math.exp(-((rng.exponential() / s) ** alpha))
         out[i, 0] = 1.0 - u

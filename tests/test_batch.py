@@ -1,8 +1,9 @@
 """The batch kernels equal the one-curve loops of ``reference.py``, bit for bit.
 
-Every window row of ``run_pairs`` must be ``==`` to the reference estimate of
-its window -> projection -> measures / band, and every per-date cross-section
-row to the reference statistics of that date's column.  The public one-curve
+Every window's run row of ``run_pairs`` (row ``index[j]`` of the per-run
+arrays) must be ``==`` to the reference estimate of its window -> projection
+-> measures / band, and every date's cross-section row (row ``index[t]``) to
+the reference statistics of that date's column.  The public one-curve
 functions are one-row calls of the kernels and are checked the same way.
 """
 
@@ -87,23 +88,27 @@ def test_batched_report_equals_reference_composition(case):
     x = panel.column("BASE")
     est_config = config.estimator()
     for rep in reports:
+        assert len(rep.values) == len(rep.linf_bounds) == len(rep.rows)
         y = panel.column(rep.other)
         starts = range(0, len(x) - config.window + 1, config.step)
         clean = [t for t in starts
                  if np.all(np.isfinite(x[t:t + config.window]) & np.isfinite(y[t:t + config.window]))]
         assert rep.starts.tolist() == clean
         assert list(rep.skipped) == [t for t in starts if t not in clean]
+        per_window = np.column_stack([rep.value(name) for name in NAMES])
         for j, start in enumerate(clean):
             stop = start + config.window
             curve = reference_window(x[start:stop], y[start:stop], est_config)
             if config.project:
                 curve = reference.projection(curve)
-            assert np.array_equal(rep.curves[j], curve)
+            run = rep.index[j]
+            assert np.array_equal(rep.rows[run], curve)
             assert rep.end_dates[j] == panel.dates[stop - 1]
             for col, name in enumerate(NAMES):
-                assert rep.values[j, col] == reference.measure(curve, name, config.normalization), name
+                value = reference.measure(curve, name, config.normalization)
+                assert rep.values[run, col] == value and per_window[j, col] == value, name
             band = reference.band(reference.measure(curve, "tdc"), config.normalization)
-            assert tuple(rep.linf_bounds[j]) == band
+            assert tuple(rep.linf_bounds[run]) == band
 
     if reports and all(rep.end_dates == reports[0].end_dates for rep in reports):
         if not reports[0].end_dates:  # every window skipped
@@ -111,10 +116,14 @@ def test_batched_report_equals_reference_composition(case):
                 cross_section(reports)
             return
         cross = cross_section(reports)
+        index = cross["index"]
+        assert len(index) == len(reports[0].end_dates) and index[0] == 0
+        assert set(np.diff(index).tolist()) <= {0, 1}
         for col, name in enumerate(NAMES):
-            matrix = np.array([rep.values[:, col] for rep in reports])
-            for t in range(matrix.shape[1]):
-                assert cross["per_date"][name][t].tolist() == stats_list(matrix[:, t])
+            assert len(cross["per_date"][name]) == index[-1] + 1
+            for t in range(len(index)):
+                column = np.array([rep.values[rep.index[t], col] for rep in reports])
+                assert cross["per_date"][name][index[t]].tolist() == stats_list(column)
 
 
 def _corner_data(rng, kind, shape):
@@ -232,7 +241,7 @@ def test_rolling_rows_equal_one_window_with_ties(tail, kind, window, k):
     config = EstimatorConfig(k=k, grid_size=50, tail=tail)
     rolling = rolling_estimate(x, y, window, step=1, config=config)
     assert len(rolling) == 31
-    for start, row in zip(rolling.starts, rolling.values):
+    for start, row in zip(rolling.starts, rolling.rows[rolling.index]):
         stop = start + window
         assert np.array_equal(row, reference_window(x[start:stop], y[start:stop], config))
 
@@ -299,7 +308,7 @@ def test_rolling_rows_reuse_only_windows_with_the_same_corners(tail, kind, step,
     rolling = rolling_estimate(x, y, window, step=step, config=config)
     monkeypatch.undo()
     assert len(rolling) > 10 and (len(rolling.skipped) > 0) == gap
-    for start, row in zip(rolling.starts.tolist(), rolling.values):
+    for start, row in zip(rolling.starts.tolist(), rolling.rows[rolling.index]):
         stop = start + window
         assert np.array_equal(row, reference_window(x[start:stop], y[start:stop], config))
     k_eff = config.resolve_k(window)
@@ -417,7 +426,7 @@ def test_rolling_rows_with_ties_at_the_span_threshold(tail, kind, k):
     else:
         x, y = _reuse_data(rng, kind, tail, n)
     rolling = rolling_estimate(x, y, window, step=1, config=config)
-    for start, row in zip(rolling.starts.tolist(), rolling.values):
+    for start, row in zip(rolling.starts.tolist(), rolling.rows[rolling.index]):
         stop = start + window
         assert np.array_equal(row, reference_window(x[start:stop], y[start:stop], config))
     sign = -1.0 if tail == "upper" else 1.0

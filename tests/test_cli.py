@@ -251,6 +251,27 @@ def test_simulate_writes_uniform_pairs(tmp_path):
     assert u.min() > 0.0 and u.max() < 1.0
 
 
+@pytest.mark.parametrize("family, theta", [("clayton", "200"), ("clayton", "inf"),
+                                           ("gumbel_survival", "inf"), ("gumbel_survival", "500")])
+def test_simulate_theta_out_of_range_exits_2(tmp_path, capsys, family, theta):
+    out = tmp_path / "draws.csv"
+    argv = ["simulate", "--family", family, "--theta", theta, "--n", "1000", "--seed", "1",
+            "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {family} ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_ingest_of_an_infinite_price_exits_2(tmp_path, capsys):
+    prices = tmp_path / "prices.csv"
+    prices.write_text(PRICES.replace("101.5,50.9", "101.5,inf"))
+    out = tmp_path / "returns.csv"
+    assert main(["ingest", "--prices", str(prices), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: infinite price for 'AAA' on 2020-01-05: inf\n"
+    assert not out.exists()
+
+
 def test_report_end_to_end(tmp_path):
     # longer synthetic panel so a 30-row window fits
     rng = np.random.default_rng(1)

@@ -143,7 +143,7 @@ def test_rolling_estimates_match_direct_calls():
     x, y = rng.random(300), rng.random(300)
     cfg = EstimatorConfig(k=12, grid_size=40)
     roll = rolling_estimate(x, y, window=150, step=75, config=cfg)
-    for start, row in zip(roll.starts.tolist(), roll.values):
+    for start, row in zip(roll.starts.tolist(), roll.rows[roll.index], strict=True):
         direct = empirical_tdf(ranks(x[start:start + 150], y[start:start + 150]), cfg)
         assert np.array_equal(row, direct.values)
 

@@ -271,6 +271,15 @@ def test_log_returns_reject_nonpositive_price():
     assert "2020-01-02" in str(exc.value)
 
 
+@pytest.mark.parametrize("cell", ["inf", "1e400", "-inf", "Infinity"])
+def test_log_returns_reject_infinite_price(tmp_path, cell):
+    p = tmp_path / "prices.csv"
+    p.write_text(f"date,A,B\n2020-01-01,1.0,2.0\n2020-01-02,1.5,{cell}\n2020-01-03,1.2,2.5\n")
+    with pytest.raises(DataError) as exc:
+        log_returns(load_prices(p, fmt="wide"))
+    assert str(exc.value) == f"infinite price for 'B' on 2020-01-02: {float(cell)}"
+
+
 # ---------------------------------------------------------------------------
 # Summary statistics
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from taildep.pipeline import (
     run_pairs,
     write_run,
 )
-from taildep.tdf import TDFKind
 
 from test_batch import NAMES, reference_window, stats_list
 
@@ -57,7 +56,7 @@ def test_record_values_follow_measure_names():
 
 def test_linf_contained_in_band_every_window():
     rep = run_pair(toy_panel(), "BASE", "A", CFG)
-    for linf, (lo, hi) in zip(rep.value("linf"), rep.linf_bounds):
+    for linf, (lo, hi) in zip(rep.value("linf"), rep.linf_bounds[rep.index], strict=True):
         assert lo - 1e-12 <= linf <= hi + 1e-12
 
 
@@ -66,9 +65,8 @@ def test_projection_toggle():
     off = run_pair(toy_panel(), "BASE", "A",
                    PipelineConfig(window=100, step=50, grid_size=50,
                                   project=False))
-    assert on.tdf(0).kind is TDFKind.VALIDATED
-    assert off.tdf(0).kind is TDFKind.EMPIRICAL
-    assert np.all(on.tdf(0).values >= off.tdf(0).values - 1e-12)
+    assert np.diff(on.rows, 2, axis=1).max() <= 1e-12  # concave
+    assert np.all(on.rows[on.index] >= off.rows[off.index] - 1e-12)
 
 
 def test_normalization_switch_scales_linf():
@@ -162,11 +160,12 @@ def reports_against_one_window_composition(panel, others, config):
             raw.append(curve)
             if config.project:
                 curve = reference.projection(curve)
-            assert rep.curves[j].tobytes() == curve.tobytes()
+            run = rep.index[j]
+            assert rep.rows[run].tobytes() == curve.tobytes()
             for col, name in enumerate(NAMES):
-                assert rep.values[j, col] == reference.measure(curve, name, config.normalization), name
+                assert rep.values[run, col] == reference.measure(curve, name, config.normalization), name
             band = reference.band(reference.measure(curve, "tdc"), config.normalization)
-            assert tuple(rep.linf_bounds[j]) == band
+            assert tuple(rep.linf_bounds[run]) == band
     return reports, np.array(raw).reshape(-1, config.grid_size + 1)
 
 
@@ -183,13 +182,13 @@ def test_equal_windows_within_and_across_pairs(project):
     _, c1, c2 = reports
     assert len(c1.starts) == 51 and repeats(raw[51:]) == 101  # C1 then C2: one run
     assert repeats(raw[:51]) > 0  # the noisy pair repeats too, with step 1
-    assert (c1.curves == c1.curves[0]).all()
-    assert c1.curves[-1].tobytes() == c2.curves[0].tobytes()
+    assert len(c1.rows) == 1 and set(c1.index.tolist()) == {0}
+    assert c1.rows[0].tobytes() == c2.rows[0].tobytes()
     cross = cross_section(reports)
     for col, name in enumerate(NAMES):
         for t in range(51):
-            assert cross["per_date"][name][t].tolist() == \
-                stats_list(np.array([rep.values[t, col] for rep in reports]))
+            assert cross["per_date"][name][cross["index"][t]].tolist() == \
+                stats_list(np.array([rep.values[rep.index[t], col] for rep in reports]))
 
 
 def test_one_window_per_pair():
@@ -206,7 +205,8 @@ def test_pair_with_every_window_skipped_between_equal_pairs():
         coupled_panel(79), ("C1", "SKIP", "C2"), config)
     skip = reports[1]
     assert len(skip.starts) == 0 and len(skip.skipped) == 40
-    assert skip.values.shape == (0, len(NAMES)) and skip.curves.shape == (0, 21)
+    assert skip.values.shape == (0, len(NAMES)) and skip.rows.shape == (0, 21)
+    assert skip.linf_bounds.shape == (0, 2) and skip.index.shape == (0,)
     assert len(raw) == 80 and repeats(raw) == 79  # one run across the empty block
 
 
@@ -220,8 +220,9 @@ def test_reports_hold_runs_not_windows():
     assert sum(rep.rows.nbytes for rep in reports) < windows * (config.grid_size + 1) * 8 / 4
     for rep in reports:
         assert rep.index[0] == 0 and set(np.diff(rep.index).tolist()) <= {0, 1}
-        assert rep.curves.shape == (len(rep.starts), config.grid_size + 1)
-        assert all(rep.tdf(j).values.tobytes() == rep.curves[j].tobytes() for j in (0, 250, 500))
+        runs = rep.index[-1] + 1
+        assert rep.rows.shape == (runs, config.grid_size + 1)
+        assert rep.values.shape == (runs, len(rep.measure_names)) and rep.linf_bounds.shape == (runs, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +234,7 @@ def test_cross_section_layout():
     reports = [run_pair(panel, "BASE", t, CFG) for t in ("A", "B")]
     cross = cross_section(reports)
     assert cross["dates"] == list(reports[0].end_dates)
-    row = dict(zip(CROSS_STATS, cross["per_date"]["tdc"][0]))
+    row = dict(zip(CROSS_STATS, cross["per_date"]["tdc"][cross["index"][0]]))
     vals = [rep.value("tdc")[0] for rep in reports]
     assert row["mean"] == pytest.approx(np.mean(vals))
     assert row["minimum"] == pytest.approx(min(vals))
@@ -304,18 +305,19 @@ def test_write_run_files(tmp_path):
 
 
 def test_write_run_formats_text_once_per_run(tmp_path):
-    # Text is formatted once per run of the index and repeated for the run's
-    # other rows: window 5 holds other values in window 4's run, so it prints
-    # window 4's text.  Separate runs print their own text: 0.0 == -0.0 but
-    # their texts differ (windows 0-1 and 6-7), and NaNs with different
-    # payloads print the same (windows 2-3).
+    # The values, the bounds and the per-date statistics hold one row per
+    # run; each row's text is formatted once and printed for every window (or
+    # date) whose index names it, so windows 4 and 5 print run 4's text.
+    # Separate runs print their own text: 0.0 == -0.0 but their texts differ
+    # (runs 0-1, and the bounds of runs 5-6), and NaNs with different payloads
+    # print the same (runs 2-3).
     nan1, nan2 = np.array([0x7FF8000000000001, 0xFFF8000000000002], dtype=np.uint64).view(float)
     values = np.array([[0.5, 0.0], [0.5, -0.0], [nan1, 0.25], [nan2, 0.25],
-                       [0.1, 0.2], [0.3, 0.4], [0.1, 0.2], [0.1, 0.2]])
+                       [0.1, 0.2], [0.1, 0.2], [0.1, 0.2]])
     bounds = np.array([[0.0, 1.0], [0.0, 1.0], [0.0, 1.0], [0.0, 1.0],
-                       [0.0, 0.0], [0.0, 0.5], [0.0, 0.0], [0.0, -0.0]])
+                       [0.0, 0.0], [0.0, 0.0], [0.0, -0.0]])
     index = np.array([0, 1, 2, 3, 4, 4, 5, 6])
-    n = len(values)
+    n = len(index)
     rep = PairReport("BASE", "A", ("tdc", "linf"), np.arange(n), tuple(f"d{i}" for i in range(n)),
                      values, bounds, np.zeros((7, 3)), index, (), PipelineConfig(grid_size=2))
     per_date = np.repeat(values[:, :1], len(CROSS_STATS), axis=1)

@@ -5,9 +5,12 @@ tolerances budget roughly three standard errors of the k = 141 estimator,
 so failures point at the sampler, not at noise.
 """
 
+import math
+
 import numpy as np
 import pytest
 
+from taildep import simulate
 from taildep.errors import ParameterError
 from taildep.estimator import EstimatorConfig, empirical_tdf, ranks
 from taildep.measures import tdc
@@ -55,6 +58,50 @@ def test_spec_validation():
         CopulaSpec("gaussian", n=0, seed=0, rho=0.5)
     with pytest.raises(ParameterError):
         CopulaSpec("levy", n=10, seed=0)
+
+
+@pytest.mark.parametrize("family", ["clayton", "gumbel_survival"])
+@pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+def test_spec_rejects_non_finite_theta(family, theta):
+    with pytest.raises(ParameterError, match=f"{family} requires a finite theta"):
+        CopulaSpec(family, n=10, seed=0, theta=theta)
+
+
+@pytest.mark.parametrize("family, theta", [("clayton", 200.0), ("gumbel_survival", 500.0),
+                                           ("gumbel_survival", 150.0)])
+def test_draws_beyond_the_float_range_raise_parameter_error(family, theta):
+    # Python's float power raises OverflowError, and a power that underflows
+    # to 0.0 can be divided by; both end in ParameterError.
+    with pytest.raises(ParameterError) as exc:
+        sample(CopulaSpec(family, n=1000, seed=1, theta=theta))
+    assert str(exc.value).startswith(f"{family} with theta={theta} leaves the float range")
+
+
+class _Draws:
+    """Stands in for SplitMix64: returns the given draws in order."""
+
+    def __init__(self, uniforms, exponentials):
+        self._uniforms, self._exponentials = iter(uniforms), iter(exponentials)
+
+    def uniform(self):
+        return next(self._uniforms)
+
+    def exponential(self):
+        return next(self._exponentials)
+
+
+@pytest.mark.parametrize("family, uniforms, exponentials", [
+    # (t^(-theta/(1+theta)) - 1) * u^-theta is about 99.5 * 1e307: a product,
+    # which overflows to inf without raising, and v would read 0.0.
+    ("clayton", [10 ** -3.07, 0.0095], []),
+    # sin(angle)^theta is the subnormal 1e-320, so the stable variable is
+    # inf without raising, and the pair would read (0.0, 0.0).
+    ("gumbel_survival", [10 ** -3.2 / math.pi], [1.0, 1.0, 1.0]),
+])
+def test_silent_float_overflow_raises_parameter_error(monkeypatch, family, uniforms, exponentials):
+    monkeypatch.setattr(simulate, "SplitMix64", lambda seed: _Draws(uniforms, exponentials))
+    with pytest.raises(ParameterError, match="leaves the float range"):
+        sample(CopulaSpec(family, n=1, seed=0, theta=100.0))
 
 
 def test_clayton_recovers_tdc():
