@@ -51,11 +51,9 @@ from .tdf import (
     DEFAULT_GRID_SIZE,
     TailDependenceFunction,
     TDFKind,
-    ValidationReport,
     clayton,
     comonotone,
     from_grid,
-    from_parametric,
     independence,
     least_concave_majorant,
     least_concave_majorant_rows,

@@ -26,7 +26,7 @@ from .errors import InfeasibleError, ParameterError, SolverError
 from .lp import TOL_RC, SimplexSolver
 from .measures import RAW, scale_factor
 from .rng import SplitMix64
-from .tdf import CONCAVITY_TOL, DEFAULT_GRID_SIZE, TailDependenceFunction, ValidationReport
+from .tdf import CONCAVITY_TOL, DEFAULT_GRID_SIZE, TailDependenceFunction
 from .tdf import from_grid, upper_bound
 
 MAX_TD = "max_td"
@@ -98,11 +98,10 @@ def _pin_indices(pins, m: int) -> list[tuple[int, float]]:
 
 
 def _as_tdf(x: np.ndarray, m: int) -> TailDependenceFunction:
-    out = from_grid(np.clip(x, 0.0, upper_bound(m)), enforce_concavity=True)
-    if isinstance(out, ValidationReport):
-        worst = out.worst()
-        raise SolverError(f"curve failed validation: {worst}")
-    return out
+    try:
+        return from_grid(np.clip(x, 0.0, upper_bound(m)), enforce_concavity=True)
+    except ParameterError as exc:
+        raise SolverError(f"curve failed validation: {exc}") from None
 
 
 def _envelopes(pins, m: int):

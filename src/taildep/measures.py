@@ -37,14 +37,6 @@ class MeasureValue:
     def __float__(self) -> float:
         return self.value
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "params": dict(self.params),
-            "value": self.value,
-            "normalization": self.normalization,
-        }
-
 
 def scale_factor(normalization: str) -> float:
     if normalization == RAW:

@@ -21,6 +21,7 @@ from .tdf import (
     comonotone as comonotone_tdf,
     from_grid,
     independence as independence_tdf,
+    upper_bound,
 )
 
 CLAYTON = "clayton"
@@ -88,10 +89,12 @@ def _sample(spec: CopulaSpec) -> np.ndarray:
         for i in range(spec.n):
             u = rng.uniform()
             t = rng.uniform()
-            base = (t ** (-theta / (1.0 + theta)) - 1.0) * u ** -theta + 1.0
-            if base == math.inf:  # a product that overflowed without raising
+            # v = ((t^(-theta/(1+theta)) - 1) * u^-theta + 1)^(-1/theta), with
+            # expm1 and log1p so that a tiny theta keeps its digits.
+            excess = math.expm1(-theta / (1.0 + theta) * math.log(t)) * u ** -theta
+            if excess == math.inf:  # a product that overflowed without raising
                 raise OverflowError
-            v = base ** (-1.0 / theta)
+            v = math.exp(-math.log1p(excess) / theta)
             out[i, 0] = u
             out[i, 1] = v
     elif spec.family == GUMBEL_SURVIVAL:
@@ -161,11 +164,9 @@ def analytic_tdf(spec: CopulaSpec, grid_size: int = DEFAULT_GRID_SIZE) -> TailDe
         if spec.rho == 1.0:
             return comonotone_tdf(grid_size)
         return independence_tdf(grid_size)
-    # Gumbel survival: L(s) = s + (1-s) - (s^theta + (1-s)^theta)^(1/theta).
-    theta = spec.theta
-    s = np.arange(1, grid_size) / grid_size
-    values = np.zeros(grid_size + 1)
-    values[1:-1] = 1.0 - (s ** theta + (1.0 - s) ** theta) ** (1.0 / theta)
-    out = from_grid(values, enforce_concavity=True)
-    assert isinstance(out, TailDependenceFunction)
-    return out
+    # Gumbel survival: L(s) = s + (1-s) - (s^theta + (1-s)^theta)^(1/theta),
+    # as lo - hi * expm1(log1p(r^theta) / theta) with lo = min(s, 1 - s),
+    # hi = 1 - lo and r = lo / hi <= 1, so no power underflows at a large theta.
+    lo = upper_bound(grid_size)
+    hi = 1.0 - lo
+    return from_grid(lo - hi * np.expm1(np.log1p((lo / hi) ** spec.theta) / spec.theta))

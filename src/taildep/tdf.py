@@ -8,9 +8,11 @@ quadrant is recovered by homogeneity:
     L(x, y) = (x + y) * L(x / (x + y)),    L(0, 0) = 0.
 
 This module holds the grid representation (uniform grid, piecewise-linear
-interpolation), constructors for the standard parametric shapes, validation,
-the concave projection (one curve, or every row of a stacked array), and JSON
-serialization.
+interpolation), constructors for the standard parametric shapes, the concave
+projection (one curve, or every row of a stacked array), and JSON
+serialization.  Every curve is built by ``from_grid``, the one admissibility
+gate: it returns the function or raises ``ParameterError`` naming the worst
+violated constraint.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .errors import DomainError, ParameterError
 
 DEFAULT_GRID_SIZE = 200
 
-# Constraint slack accepted at construction; violations beyond these are reported.
+# Constraint slack accepted at construction; violations beyond these raise.
 BOUND_TOL = 1e-9
 CONCAVITY_TOL = 1e-9
 
@@ -39,29 +41,6 @@ class TDFKind(Enum):
 
     VALIDATED = "validated"
     EMPIRICAL = "empirical"
-
-
-@dataclass(frozen=True)
-class Violation:
-    """One constraint violation found by ``from_grid``."""
-
-    constraint: str  # "nonnegative" | "upper_bound" | "concavity"
-    index: int
-    magnitude: float
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Returned by ``from_grid`` instead of a function when constraints fail."""
-
-    violations: tuple[Violation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def worst(self) -> Violation:
-        return max(self.violations, key=lambda v: v.magnitude)
 
 
 @dataclass(frozen=True)
@@ -129,14 +108,7 @@ class TailDependenceFunction:
         if len(values) != data["m"] + 1:
             raise ParameterError("values length must be m + 1")
         kind = TDFKind(data["kind"])
-        out = from_grid(values, enforce_concavity=(kind is TDFKind.VALIDATED))
-        if isinstance(out, ValidationReport):
-            worst = out.worst()
-            raise ParameterError(
-                f"serialized grid violates {worst.constraint} at index {worst.index} "
-                f"by {worst.magnitude:.3e}"
-            )
-        return out
+        return from_grid(values, enforce_concavity=(kind is TDFKind.VALIDATED))
 
 
 def upper_bound(m: int) -> np.ndarray:
@@ -145,14 +117,17 @@ def upper_bound(m: int) -> np.ndarray:
     return np.minimum(s, 1.0 - s)
 
 
-def from_grid(values, enforce_concavity: bool = True):
-    """Build a function from grid values, or report why the grid is inadmissible.
+def from_grid(values, enforce_concavity: bool = True) -> TailDependenceFunction:
+    """Build a function from grid values; the one gate every curve passes.
 
     Returns a VALIDATED function when bounds, boundary zeros, and concavity all
     hold within tolerance; with ``enforce_concavity=False`` concavity is skipped
     and the result is EMPIRICAL.  Admissible-within-tolerance values are snapped
-    onto the exact constraint set, so invariants hold exactly afterwards.
-    Constraint violations come back as a ``ValidationReport``.
+    onto the exact constraint set, so invariants hold exactly afterwards.  An
+    inadmissible grid raises ``ParameterError`` naming its worst violation:
+    "grid violates <constraint> at index <i> by <magnitude>", with constraint
+    ``nonnegative``, ``upper_bound`` or ``concavity`` (a positive second
+    difference, at its middle node).
     """
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or v.size < 3:
@@ -161,18 +136,10 @@ def from_grid(values, enforce_concavity: bool = True):
         raise ParameterError("grid values must be finite")
     m = v.size - 1
     bound = upper_bound(m)
-
-    violations = []
-    for i in np.flatnonzero(v < -BOUND_TOL):
-        violations.append(Violation("nonnegative", int(i), float(-v[i])))
-    for i in np.flatnonzero(v > bound + BOUND_TOL):
-        violations.append(Violation("upper_bound", int(i), float(v[i] - bound[i])))
-    if enforce_concavity:
-        second = v[2:] - 2.0 * v[1:-1] + v[:-2]
-        for j in np.flatnonzero(second > CONCAVITY_TOL):
-            violations.append(Violation("concavity", int(j + 1), float(second[j])))
-    if violations:
-        return ValidationReport(tuple(violations))
+    second = v[2:] - 2.0 * v[1:-1] + v[:-2] if enforce_concavity else None
+    if ((v < -BOUND_TOL).any() or (v > bound + BOUND_TOL).any()
+            or (second is not None and (second > CONCAVITY_TOL).any())):
+        raise ParameterError(_worst_violation(v, bound, second))
 
     clipped = np.clip(v, 0.0, bound)
     clipped[0] = 0.0
@@ -181,36 +148,45 @@ def from_grid(values, enforce_concavity: bool = True):
     return TailDependenceFunction(m, clipped, kind)
 
 
-def _build(values: np.ndarray, what: str) -> TailDependenceFunction:
-    out = from_grid(values, enforce_concavity=True)
-    if isinstance(out, ValidationReport):  # pragma: no cover - constructors are exact
-        worst = out.worst()
-        raise ParameterError(f"{what}: {worst.constraint} violated by {worst.magnitude:.3e}")
-    return out
+def _worst_violation(v: np.ndarray, bound: np.ndarray, second: np.ndarray | None) -> str:
+    """The message for the largest violation; ties go to the first constraint
+    in the order below, then to the lowest index.  Called only when a check
+    failed, so the largest excess is beyond its tolerance."""
+    checks = [("nonnegative", -v, 0), ("upper_bound", v - bound, 0)]
+    if second is not None:
+        checks.append(("concavity", second, 1))  # second[j] belongs to node j + 1
+    worst = (0.0, "", 0)
+    for constraint, excess, offset in checks:
+        i = int(np.argmax(excess))
+        if excess[i] > worst[0]:
+            worst = (float(excess[i]), constraint, i + offset)
+    return f"grid violates {worst[1]} at index {worst[2]} by {worst[0]:.3e}"
 
 
 def comonotone(grid_size: int = DEFAULT_GRID_SIZE) -> TailDependenceFunction:
     """Strongest admissible function, min(s, 1 - s)."""
     _check_grid_size(grid_size)
-    return _build(upper_bound(grid_size), "comonotone")
+    return from_grid(upper_bound(grid_size))
 
 
 def independence(grid_size: int = DEFAULT_GRID_SIZE) -> TailDependenceFunction:
     """Identically zero (asymptotic tail independence)."""
     _check_grid_size(grid_size)
-    return _build(np.zeros(grid_size + 1), "independence")
+    return from_grid(np.zeros(grid_size + 1))
 
 
 def clayton(theta: float, grid_size: int = DEFAULT_GRID_SIZE) -> TailDependenceFunction:
-    """Clayton family, (s^-theta + (1-s)^-theta)^(-1/theta), theta > 0."""
+    """Clayton family, (s^-theta + (1-s)^-theta)^(-1/theta), theta > 0.
+
+    Computed as lo * (1 + r^theta)^(-1/theta) with lo = min(s, 1 - s) and
+    r = lo / (1 - lo) <= 1, so no power overflows at a large theta and the
+    curve tends to min(s, 1 - s).
+    """
     _check_grid_size(grid_size)
     if not (theta > 0.0) or not np.isfinite(theta):
         raise ParameterError("clayton requires theta > 0")
-    s = np.arange(1, grid_size) / grid_size
-    interior = (s ** -theta + (1.0 - s) ** -theta) ** (-1.0 / theta)
-    values = np.zeros(grid_size + 1)
-    values[1:-1] = interior
-    return _build(values, "clayton")
+    lo = upper_bound(grid_size)
+    return from_grid(lo * (1.0 + (lo / (1.0 - lo)) ** theta) ** (-1.0 / theta))
 
 
 def tent(a: float, b: float, grid_size: int = DEFAULT_GRID_SIZE) -> TailDependenceFunction:
@@ -220,7 +196,7 @@ def tent(a: float, b: float, grid_size: int = DEFAULT_GRID_SIZE) -> TailDependen
         raise ParameterError("tent requires a >= 0 and b >= 0")
     s = np.arange(grid_size + 1) / grid_size
     values = np.minimum(np.minimum(a * s, b * (1.0 - s)), upper_bound(grid_size))
-    return _build(values, "tent")
+    return from_grid(values)
 
 
 def parabola(c: float = 1.0, grid_size: int = DEFAULT_GRID_SIZE) -> TailDependenceFunction:
@@ -229,29 +205,7 @@ def parabola(c: float = 1.0, grid_size: int = DEFAULT_GRID_SIZE) -> TailDependen
     if not (0.0 < c <= 1.0):
         raise ParameterError("parabola requires c in (0, 1]")
     s = np.arange(grid_size + 1) / grid_size
-    return _build(c * s * (1.0 - s), "parabola")
-
-
-_FAMILIES = {
-    "comonotone": (comonotone, ()),
-    "independence": (independence, ()),
-    "clayton": (clayton, ("theta",)),
-    "tent": (tent, ("a", "b")),
-    "parabola": (parabola, ("c",)),
-}
-
-
-def from_parametric(family: str, grid_size: int = DEFAULT_GRID_SIZE, **params) -> TailDependenceFunction:
-    """Dispatch to a parametric constructor by family name."""
-    try:
-        ctor, names = _FAMILIES[family]
-    except KeyError:
-        raise ParameterError(f"unknown family {family!r}; known: {sorted(_FAMILIES)}") from None
-    missing = [n for n in names if n not in params]
-    extra = [n for n in params if n not in names]
-    if missing or extra:
-        raise ParameterError(f"family {family!r} takes parameters {list(names)}")
-    return ctor(*[params[n] for n in names], grid_size=grid_size)
+    return from_grid(c * s * (1.0 - s))
 
 
 def least_concave_majorant(tdf: TailDependenceFunction) -> TailDependenceFunction:
@@ -264,7 +218,7 @@ def least_concave_majorant(tdf: TailDependenceFunction) -> TailDependenceFunctio
     """
     values = np.array(tdf.values, dtype=float, ndmin=2)
     least_concave_majorant_rows(values)
-    return _build(values[0], "least_concave_majorant")
+    return from_grid(values[0])
 
 
 def least_concave_majorant_rows(values: np.ndarray) -> None:

@@ -35,9 +35,7 @@ def make_random_tdf(rng: np.random.Generator, grid_size: int = 200,
     if scale is None:
         scale = rng.uniform(0.1, 1.0)
     values *= scale / ratio
-    out = from_grid(values)
-    assert isinstance(out, TailDependenceFunction)
-    return out
+    return from_grid(values)
 
 
 def make_symmetric_tdf(rng: np.random.Generator,
@@ -52,9 +50,7 @@ def make_symmetric_tdf(rng: np.random.Generator,
     bound = np.minimum(s, 1.0 - s)
     ratio = np.max(values[1:-1] / bound[1:-1])
     values *= rng.uniform(0.1, 1.0) / ratio
-    out = from_grid(values)
-    assert isinstance(out, TailDependenceFunction)
-    return out
+    return from_grid(values)
 
 
 @pytest.fixture

@@ -239,6 +239,20 @@ def test_malformed_curve_json_exits_2(tmp_path, capsys, text):
     assert err.startswith("error: ") and str(f) in err
 
 
+@pytest.mark.parametrize("command", ["measures", "compare"])
+def test_inadmissible_curve_file_exits_2(tmp_path, capsys, command):
+    bad, good = tmp_path / "bad.json", tmp_path / "good.json"
+    bad.write_text('{"m": 4, "values": [0.0, 0.2, 0.05, 0.2, 0.0], "kind": "validated"}')
+    good.write_text(clayton(2.0, grid_size=4).to_json())
+    argv = (["measures", "--tdf", str(bad)] if command == "measures"
+            else ["compare", "--first", str(good), "--second", str(bad)])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: curve file {bad}: grid violates concavity "
+                            "at index 2 by 3.000e-01\n")
+
+
 def test_simulate_writes_uniform_pairs(tmp_path):
     out = tmp_path / "draws.csv"
     rc = main(["simulate", "--family", "clayton", "--theta", "2.0",

@@ -60,6 +60,13 @@ def test_avg_td_round_cap_raises_solver_error(monkeypatch):
         measure_range(pins, "avg_td", grid_size=100)
 
 
+def test_curve_failing_validation_raises_solver_error():
+    # A vertex that is not concave is a solver fault, not a user parameter.
+    with pytest.raises(SolverError, match=r"^curve failed validation: grid violates "
+                                          r"concavity at index 2 by 3\.000e-01$"):
+        taildep.envelope._as_tdf(np.array([0.0, 0.2, 0.05, 0.2, 0.0]), 4)
+
+
 def test_point_eval_range():
     res = measure_range([(0.5, 0.2)], "point_eval", grid_size=100, s0=0.25)
     # floor is the chord through the pin, ceiling hits the Frechet bound

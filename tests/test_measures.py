@@ -257,10 +257,9 @@ def test_ev_copula_symmetric_for_symmetric_tdf(u, v):
 # MeasureValue container
 # ---------------------------------------------------------------------------
 
-def test_measure_value_float_and_dict(top):
+def test_measure_value_float_and_fields(top):
     mv = tdc(top)
     assert isinstance(mv, MeasureValue)
     assert float(mv) == mv.value
-    d = mv.to_dict()
-    assert d["name"] == "tdc"
-    assert d["value"] == mv.value
+    assert mv.name == "tdc"
+    assert mv.normalization == "raw"

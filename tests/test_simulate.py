@@ -6,6 +6,7 @@ so failures point at the sampler, not at noise.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -104,6 +105,17 @@ def test_silent_float_overflow_raises_parameter_error(monkeypatch, family, unifo
         sample(CopulaSpec(family, n=1, seed=0, theta=100.0))
 
 
+def test_clayton_keeps_the_family_at_a_tiny_theta():
+    # t^(-theta/(1+theta)) - 1 rounds to 0 here, which must not make v = 1.0;
+    # near theta = 0 the copula is independence, v = t.
+    u = sample(CopulaSpec("clayton", n=2000, seed=1, theta=1e-20))
+    assert np.unique(u[:, 1]).size >= 1990
+    assert 0.0 < u[:, 1].min() and u[:, 1].max() < 1.0
+    rng = simulate.SplitMix64(1)
+    t = [(rng.uniform(), rng.uniform())[1] for _ in range(2000)]
+    np.testing.assert_allclose(u[:, 1], t, rtol=1e-12)
+
+
 def test_clayton_recovers_tdc():
     for theta in (1.0, 2.0):
         err = fitted_tdc(CopulaSpec("clayton", n=20000, seed=2, theta=theta)) \
@@ -162,6 +174,17 @@ def test_analytic_tdf_gumbel_survival():
     expected = 1.0 - (s ** theta + (1.0 - s) ** theta) ** (1.0 / theta)
     assert f.eval(s) == pytest.approx(expected, abs=1e-9)
     assert 2.0 * f.eval(0.5) == pytest.approx(2.0 - 2.0 ** 0.5, abs=1e-12)
+
+
+def test_analytic_tdf_gumbel_survival_at_a_large_theta():
+    # 0.5^theta underflows to 0 here, which must not lift the midpoint to 1;
+    # the limit is the comonotone curve.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = analytic_tdf(CopulaSpec("gumbel_survival", n=1, seed=0, theta=2000.0))
+    s = f.grid
+    assert np.max(np.abs(f.values - np.minimum(s, 1.0 - s))) <= 1e-3
+    assert 2.0 * f.eval(0.5) == pytest.approx(2.0 - 2.0 ** (1.0 / 2000.0), abs=1e-12)
 
 
 def test_analytic_tdf_gaussian_cases():

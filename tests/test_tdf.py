@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,14 +11,13 @@ from hypothesis import given, settings, strategies as st
 from taildep.errors import DomainError, ParameterError
 from taildep.tdf import (
     BOUND_TOL,
+    CONCAVITY_TOL,
     DEFAULT_GRID_SIZE,
     TailDependenceFunction,
     TDFKind,
-    ValidationReport,
     clayton,
     comonotone,
     from_grid,
-    from_parametric,
     independence,
     least_concave_majorant,
     least_concave_majorant_rows,
@@ -62,25 +62,58 @@ def test_from_grid_accepts_admissible():
 
 
 def test_from_grid_reports_upper_bound_violation():
-    out = from_grid([0.0, 0.6, 0.0])
-    assert isinstance(out, ValidationReport)
-    (v,) = out.violations
-    assert v.constraint == "upper_bound"
-    assert v.index == 1
-    assert v.magnitude == pytest.approx(0.1)
+    with pytest.raises(ParameterError, match=r"^grid violates upper_bound at index 1 by 1\.000e-01$"):
+        from_grid([0.0, 0.6, 0.0])
+    # Equal excesses at nodes 1 and 3: the lowest index is named.
+    with pytest.raises(ParameterError, match=r"^grid violates upper_bound at index 1 by 1\.000e-01$"):
+        from_grid([0.0, 0.35, 0.5, 0.35, 0.0])
 
 
 def test_from_grid_reports_negative_value():
-    out = from_grid([0.0, -0.2, 0.0])
-    assert isinstance(out, ValidationReport)
-    assert any(v.constraint == "nonnegative" for v in out.violations)
+    with pytest.raises(ParameterError, match=r"^grid violates nonnegative at index 1 by 2\.000e-01$"):
+        from_grid([0.0, -0.2, 0.0], enforce_concavity=False)
+    # The dip is also a convex kink of second difference 0.4, the worst violation.
+    with pytest.raises(ParameterError, match=r"^grid violates concavity at index 1 by 4\.000e-01$"):
+        from_grid([0.0, -0.2, 0.0])
 
 
 def test_from_grid_reports_convex_kink():
     # A dip in the middle breaks concavity without touching the bounds.
-    out = from_grid([0.0, 0.2, 0.05, 0.2, 0.0])
-    assert isinstance(out, ValidationReport)
-    assert any(v.constraint == "concavity" for v in out.violations)
+    with pytest.raises(ParameterError, match=r"^grid violates concavity at index 2 by 3\.000e-01$"):
+        from_grid([0.0, 0.2, 0.05, 0.2, 0.0])
+
+
+def _violations(v, enforce_concavity):
+    """Every violation as (magnitude, constraint, index), in from_grid's tie order."""
+    v = [float(x) for x in v]
+    m = len(v) - 1
+    out = [(-x, "nonnegative", i) for i, x in enumerate(v) if x < -BOUND_TOL]
+    out += [(x - min(i / m, 1.0 - i / m), "upper_bound", i) for i, x in enumerate(v)
+            if x > min(i / m, 1.0 - i / m) + BOUND_TOL]
+    if enforce_concavity:
+        second = [v[i + 1] - 2.0 * v[i] + v[i - 1] for i in range(1, m)]
+        out += [(d, "concavity", i + 1) for i, d in enumerate(second) if d > CONCAVITY_TOL]
+    return out
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_from_grid_names_the_worst_violation(seed):
+    # A concave curve with a few values moved up or down, some within the
+    # tolerances; exact ties between constraints go to the first listed.
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 30))
+    v = clayton(float(rng.uniform(0.2, 5.0)), grid_size=m).values.copy()
+    for i in rng.integers(0, m + 1, size=int(rng.integers(1, 4))):
+        v[i] += rng.choice([-1.0, 1.0]) * rng.choice([0.5 * BOUND_TOL, rng.uniform(0.0, 0.3)])
+    for enforce in (True, False):
+        found = _violations(v, enforce)
+        if not found:
+            assert from_grid(v, enforce_concavity=enforce).grid_size == m
+            continue
+        magnitude, constraint, index = max(found, key=lambda x: x[0])
+        with pytest.raises(ParameterError) as exc:
+            from_grid(v, enforce_concavity=enforce)
+        assert str(exc.value) == f"grid violates {constraint} at index {index} by {magnitude:.3e}"
 
 
 def test_from_grid_concavity_check_optional():
@@ -106,9 +139,9 @@ def test_from_grid_rejects_bad_preconditions():
 
 def test_from_grid_nonzero_endpoint_is_a_violation():
     # Endpoints lie on the boundary where the envelope is zero, so a bad
-    # endpoint surfaces through the report, not as a precondition error.
-    out = from_grid([0.1, 0.2, 0.0])
-    assert isinstance(out, ValidationReport)
+    # endpoint surfaces as a bound violation, not as a precondition error.
+    with pytest.raises(ParameterError, match=r"^grid violates upper_bound at index 0 by 1\.000e-01$"):
+        from_grid([0.1, 0.2, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -188,13 +221,20 @@ def test_independence_is_zero():
 @given(theta=clayton_theta)
 @settings(max_examples=100)
 def test_clayton_midpoint_formula(theta):
-    f = from_parametric("clayton", theta=theta)
+    f = clayton(theta)
     assert 2.0 * f.eval(0.5) == pytest.approx(2.0 ** (-1.0 / theta), rel=1e-12)
 
 
 def test_clayton_ordered_in_theta():
-    weak, strong = clayton(0.5), clayton(3.0)
-    assert np.all(weak.values <= strong.values + 1e-12)
+    # From theta ~ 134, s^-theta overflows on the default grid; the curve
+    # must still rise with theta, towards min(s, 1 - s).
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        curves = [clayton(theta) for theta in (1e-3, 0.5, 3.0, 134.0, 200.0, 1e4, 1e6)]
+    for weak, strong in zip(curves, curves[1:]):
+        assert np.all(weak.values <= strong.values + 1e-12)
+    s = curves[-1].grid
+    assert np.max(np.abs(curves[-1].values - np.minimum(s, 1.0 - s))) <= 1e-6
 
 
 def test_tent_and_parabola_values():
@@ -211,16 +251,14 @@ def test_tent_clips_at_frechet_bound():
     assert t.eval(0.625) == pytest.approx(0.3125)
 
 
-def test_parametric_dispatch_and_validation():
-    assert from_parametric("comonotone").values[100] == 0.5
-    with pytest.raises(ParameterError):
-        from_parametric("nosuchfamily")
-    with pytest.raises(ParameterError):
-        from_parametric("clayton", theta=-1.0)
-    with pytest.raises(ParameterError):
-        from_parametric("parabola", c=1.5)
-    with pytest.raises(ParameterError):
-        from_parametric("tent", a=-0.5, b=1.0)
+def test_constructors_reject_bad_parameters():
+    assert comonotone().values[100] == 0.5
+    with pytest.raises(ParameterError, match="clayton requires theta > 0"):
+        clayton(-1.0)
+    with pytest.raises(ParameterError, match="parabola requires c in"):
+        parabola(c=1.5)
+    with pytest.raises(ParameterError, match="tent requires a >= 0 and b >= 0"):
+        tent(a=-0.5, b=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +277,7 @@ def test_from_json_revalidates():
     f = comonotone(grid_size=4)
     doc = json.loads(f.to_json())
     doc["values"][2] = 0.9
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match=r"^grid violates upper_bound at index 2 by 4\.000e-01$"):
         TailDependenceFunction.from_json(json.dumps(doc))
 
 
