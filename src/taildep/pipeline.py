@@ -79,7 +79,6 @@ class PairReport:
     rows: np.ndarray = field(repr=False)  # (runs, m + 1): the functions measured
     index: np.ndarray = field(repr=False)  # (windows,) run of each window
     skipped: tuple[int, ...]
-    config: PipelineConfig
 
     def value(self, name: str) -> np.ndarray:
         """The named measure over the windows, ``values[index, col]``."""
@@ -130,7 +129,7 @@ def run_pairs(
         runs = slice(offsets[j], offsets[j + 1])
         end_dates = tuple(panel.dates[t + config.window - 1] for t in est.starts.tolist())
         reports.append(PairReport(base, other, names, est.starts, end_dates, values[runs], bands[runs],
-                                  rows[runs], est.index, est.skipped, config))
+                                  rows[runs], est.index, est.skipped))
     return reports
 
 

@@ -5,15 +5,12 @@ mix.  It is seedable, platform-stable (pure integer arithmetic mod 2^64), and
 more than adequate for the Monte Carlo work here.  Uniform doubles take the
 form ((bits >> 12) + 0.5) * 2^-52 so they are strictly inside (0, 1), which
 keeps logs and negative powers finite downstream.
-
-The normal inverse CDF follows Acklam's rational approximation (about 1.15e-9
-relative error) plus one Halley refinement through erfc, which brings it to
-float precision; the approximation error contract is <= 1e-9 absolute.
 """
 
 from __future__ import annotations
 
 import math
+from statistics import NormalDist
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -45,43 +42,14 @@ class SplitMix64:
         return -math.log(self.uniform())
 
 
-# Acklam's coefficients for the central and tail rational approximations.
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-_P_LOW = 0.02425
+_STANDARD_NORMAL = NormalDist()
 
 
 def normal_inverse_cdf(p: float) -> float:
-    """Inverse of the standard normal CDF for p in (0, 1)."""
+    """Inverse of the standard normal CDF for p in (0, 1) (Wichura's AS241)."""
     if not (0.0 < p < 1.0):
         raise ValueError("normal_inverse_cdf requires p in (0, 1)")
-    if p < _P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = ((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-             / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    elif p <= 1.0 - _P_LOW:
-        q = p - 0.5
-        r = q * q
-        x = ((((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q
-             / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0))
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        x = -((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-              / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-
-    # One Halley step against the exact CDF residual.
-    err = normal_cdf(x) - p
-    density = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-    if density > 0.0:
-        u = err / density
-        x -= u / (1.0 + 0.5 * x * u)
-    return x
+    return _STANDARD_NORMAL.inv_cdf(p)
 
 
 def normal_cdf(x: float) -> float:

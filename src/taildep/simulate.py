@@ -8,6 +8,7 @@ seed: the same spec yields the same pairs on any platform.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +50,11 @@ class CopulaSpec:
                 raise ParameterError(f"{self.family} requires theta")
             if not math.isfinite(self.theta):
                 raise ParameterError(f"{self.family} requires a finite theta")
-            if self.family == CLAYTON and not self.theta > 0.0:
-                raise ParameterError("clayton requires theta > 0")
+            # Below the smallest normal float, -theta / (1 + theta) * log(t)
+            # keeps too few bits for v to stay near the independent draw.
+            if self.family == CLAYTON and not self.theta >= sys.float_info.min:
+                raise ParameterError(f"clayton requires theta >= {sys.float_info.min!r}, "
+                                     "the smallest normal float")
             if self.family == GUMBEL_SURVIVAL and not self.theta >= 1.0:
                 raise ParameterError("gumbel_survival requires theta >= 1")
         elif self.family == GAUSSIAN:

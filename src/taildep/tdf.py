@@ -31,10 +31,6 @@ DEFAULT_GRID_SIZE = 200
 BOUND_TOL = 1e-9
 CONCAVITY_TOL = 1e-9
 
-# Rows projected together by ``least_concave_majorant_rows``; the hull keeps
-# one stack of grid indices per row.
-HULL_CHUNK_ROWS = 8192
-
 
 class TDFKind(Enum):
     """Whether concavity was enforced (VALIDATED) or only bounds (EMPIRICAL)."""
@@ -235,18 +231,14 @@ def least_concave_majorant_rows(values: np.ndarray) -> None:
     below 0, above 1, or in (0, 2**53 * m * tiny) is flagged and scans every
     point.  An estimate is a step function of count / k in [0, 1] with at
     most 2k steps, so a report row scans at most 4k + 1 points (about 27 of
-    199 on the report's rows, with k = 22 and m = 200).  ``_project_chunk``
-    gives the argument case by case.
+    199 on the report's rows, with k = 22 and m = 200).  The skip proof in
+    the body gives the argument case by case.
     """
     if values.ndim != 2 or not values.flags.c_contiguous or values.shape[1] < 3:
         raise ParameterError("expected a C-contiguous (rows, m + 1) array with m >= 2")
     if not np.isfinite(values).all():
         raise ParameterError("grid values must be finite")
-    for lo in range(0, values.shape[0], HULL_CHUNK_ROWS):
-        _project_chunk(values[lo:lo + HULL_CHUNK_ROWS])
-
-
-def _project_chunk(v: np.ndarray) -> None:
+    v = values
     rows, n = v.shape
     m = n - 1
     s = np.arange(n) / m
@@ -278,17 +270,11 @@ def _project_chunk(v: np.ndarray) -> None:
     # need a uniform grid, and products of value gaps that neither underflow
     # nor tie: gaps between values in {0} u [T, 1], T = 2**53 * m * tiny, are
     # at least m * tiny, and grid gaps are at least 1/m.  A row with a value
-    # below 0, above 1 or in (0, T) scans every point.  Row reductions over
-    # the stack's memory, unused until the chain starts, find it: it has more
-    # values below T than zeros, or a maximum above 1.
-    # np.zeros, though every entry is written before it is read: with
-    # np.empty the report's peak RSS rose by about 0.25 MB.
+    # below 0, above 1 or in (0, T) scans every point.
+    full = (((v < 2.0 ** 53 * m * np.finfo(float).tiny) & (v != 0.0)).any(axis=1)
+            | (v.max(axis=1) > 1.0))
+    # Every chain starts at vertices 0 and 1; np.zeros writes the first.
     stack = np.zeros((rows, n), dtype=np.min_scalar_type(m))
-    np.less(v, 2.0 ** 53 * m * np.finfo(float).tiny, out=stack)
-    below = stack.sum(axis=1, dtype=np.intp)
-    np.equal(v, 0.0, out=stack)
-    full = (below != stack.sum(axis=1, dtype=np.intp)) | (v.max(axis=1) > 1.0)
-    stack[:, 0] = 0
     stack[:, 1] = 1
     top = np.full(rows, 2)
     behind = v[:, 2] != v[:, 1]

@@ -319,7 +319,7 @@ def test_write_run_formats_text_once_per_run(tmp_path):
     index = np.array([0, 1, 2, 3, 4, 4, 5, 6])
     n = len(index)
     rep = PairReport("BASE", "A", ("tdc", "linf"), np.arange(n), tuple(f"d{i}" for i in range(n)),
-                     values, bounds, np.zeros((7, 3)), index, (), PipelineConfig(grid_size=2))
+                     values, bounds, np.zeros((7, 3)), index, ())
     per_date = np.repeat(values[:, :1], len(CROSS_STATS), axis=1)
     per_date[:, -1] = values[:, 1]
     cross = {"dates": list(rep.end_dates), "index": index, "per_date": {"tdc": per_date}, "table": {}}

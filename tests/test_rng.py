@@ -40,7 +40,8 @@ def test_known_float_mapping():
 def test_inverse_cdf_matches_scipy_everywhere():
     g = SplitMix64(7)
     ps = np.array([g.uniform() for _ in range(20000)]
-                  + [1e-12, 1e-9, 1e-5, 0.02425, 0.5, 0.97575, 1 - 1e-9])
+                  + [1e-12, 1e-9, 1e-5, 0.02425, 0.5, 0.97575, 1 - 1e-9]
+                  + [1.0 - 2.0 ** -k for k in range(20, 54)])
     ours = np.array([normal_inverse_cdf(p) for p in ps])
     assert np.max(np.abs(ours - ndtri(ps))) < 1e-9
 

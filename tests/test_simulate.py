@@ -6,6 +6,7 @@ so failures point at the sampler, not at noise.
 """
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -51,6 +52,8 @@ def test_spec_validation():
         CopulaSpec("clayton", n=10, seed=0)  # theta required
     with pytest.raises(ParameterError):
         CopulaSpec("clayton", n=10, seed=0, theta=-1.0)
+    with pytest.raises(ParameterError, match="smallest normal float"):
+        CopulaSpec("clayton", n=10, seed=0, theta=1e-320)
     with pytest.raises(ParameterError):
         CopulaSpec("gumbel_survival", n=10, seed=0, theta=0.5)
     with pytest.raises(ParameterError):
@@ -105,10 +108,11 @@ def test_silent_float_overflow_raises_parameter_error(monkeypatch, family, unifo
         sample(CopulaSpec(family, n=1, seed=0, theta=100.0))
 
 
-def test_clayton_keeps_the_family_at_a_tiny_theta():
+@pytest.mark.parametrize("theta", [1e-20, sys.float_info.min])
+def test_clayton_keeps_the_family_at_a_tiny_theta(theta):
     # t^(-theta/(1+theta)) - 1 rounds to 0 here, which must not make v = 1.0;
     # near theta = 0 the copula is independence, v = t.
-    u = sample(CopulaSpec("clayton", n=2000, seed=1, theta=1e-20))
+    u = sample(CopulaSpec("clayton", n=2000, seed=1, theta=theta))
     assert np.unique(u[:, 1]).size >= 1990
     assert 0.0 < u[:, 1].min() and u[:, 1].max() < 1.0
     rng = simulate.SplitMix64(1)
