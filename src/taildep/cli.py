@@ -288,6 +288,9 @@ def main(argv=None) -> int:
         print(f"error: cannot write {exc.filename or 'output'}: {exc.strerror or exc}",
               file=sys.stderr)
         return 2
+    except MemoryError as exc:  # numpy's message names the size and shape it refused
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -137,8 +137,8 @@ def empirical_tdf(sample: RankedSample, config: EstimatorConfig = EstimatorConfi
     so its corner is the points with both ranks <= k (reflected if upper).
     """
     columns = np.stack([sample.rank_x, sample.rank_y]).astype(float)
-    (estimate,) = _window_estimates(columns, [(0, 1)], sample.n, 1, config)
-    return TailDependenceFunction(config.grid_size, estimate.rows[0], TDFKind.EMPIRICAL)
+    rows, _ = _window_estimates(columns, [(0, 1)], sample.n, 1, config)
+    return TailDependenceFunction(config.grid_size, rows[0], TDFKind.EMPIRICAL)
 
 
 @dataclass(frozen=True)
@@ -186,7 +186,11 @@ def rolling_estimate(
     y_arr = np.asarray(y, dtype=float)
     if x_arr.ndim != 1 or y_arr.ndim != 1 or x_arr.size != y_arr.size:
         raise DataError("x and y must be one-dimensional and equally long")
-    return _window_estimates(np.stack([x_arr, y_arr]), [(0, 1)], window, step, config)[0]
+    # One pair's runs are all the rows, in order.
+    rows, ((_, starts, index, skipped),) = _window_estimates(np.stack([x_arr, y_arr]), [(0, 1)],
+                                                             window, step, config)
+    rows.setflags(write=False)
+    return RollingEstimate(starts, rows, index, skipped)
 
 
 def _chunking(series: int, window: int, k: int, step: int) -> tuple[int, int]:
@@ -194,19 +198,22 @@ def _chunking(series: int, window: int, k: int, step: int) -> tuple[int, int]:
     of c pays about (window + c) / c partitioned points and k + c candidates,
     least near c = sqrt(window); with step > 1 no two windows share a span.  A
     chunk holds about CHUNK_ELEMENTS candidates, series * size * (k + span),
-    in whole spans where it can, or with step > 1 that many partitioned
+    in whole spans and at least one, or with step > 1 that many partitioned
     points, series * size * window."""
     per_series = CHUNK_ELEMENTS // series
     if step > 1:
         return max(1, per_series // window), 1
     span = math.isqrt(window)
     size = per_series // (k + span)
-    return max(1, size - size % span if size >= span else size), span
+    return max(span, size - size % span), span
 
 
-def _window_estimates(columns, pairs, window, step, config) -> list[RollingEstimate]:
+def _window_estimates(columns, pairs, window, step, config):
     """The rolling estimates of ``pairs`` (row numbers of ``columns``,
-    (series, n)), one ``RollingEstimate`` per pair.
+    (series, n)): ``rows``, the distinct rows of every pair in the order they
+    were computed (writable, C-contiguous), and per pair ``(runs, starts,
+    index, skipped)`` as in ``RollingEstimate``, where the pair's run r is
+    ``rows[runs[r]]`` and ``runs`` increases.
 
     A pair's windows are those where both series are finite.  Per chunk, each
     series ranks the windows some pair of it needs (``_chunk_corners``), the
@@ -277,15 +284,13 @@ def _window_estimates(columns, pairs, window, step, config) -> list[RollingEstim
         new_run[pair[new], lo + at[new]] = True
         found.append(counts[new])
         found_pair.append(pair[new])
-    # The distinct rows, pair by pair.
-    found_pair = np.concatenate(found_pair)
+    # The rows in the order computed, and each pair's of them; rebinding
+    # found frees the chunks' rows before the pairs' arrays are made.
+    found, found_pair = np.concatenate(found), np.concatenate(found_pair)
     order = np.argsort(found_pair, kind="stable")
-    rows = np.concatenate(found)[order]
-    rows.setflags(write=False)
     cuts = np.searchsorted(found_pair[order], np.arange(len(pairs) + 1))
-    return [RollingEstimate(positions[ok[p]], rows[cuts[p]:cuts[p + 1]],
-                            np.cumsum(new_run[p, ok[p]]) - 1, tuple(positions[~ok[p]].tolist()))
-            for p in range(len(pairs))]
+    return found, [(order[cuts[p]:cuts[p + 1]], positions[ok[p]], np.cumsum(new_run[p, ok[p]]) - 1,
+                    tuple(positions[~ok[p]].tolist())) for p in range(len(pairs))]
 
 
 def _chunk_corners(columns, need, starts, window: int, k: int, span: int, upper: bool):

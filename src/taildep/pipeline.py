@@ -9,10 +9,10 @@ byte.
 
 The work is batch-first.  The estimator returns each pair's windows in runs
 of bitwise-equal consecutive estimates: the distinct rows and each window's
-run.  The runs of all pairs are stacked into one C-contiguous (runs, m + 1)
-array; the projection, the measures and the bands run over its rows, and
-every reduction runs along a contiguous last axis, which numpy sums in the
-same order as a single curve, so a row's result does not depend on the rows
+run.  The runs of all pairs come in one C-contiguous (runs, m + 1) array;
+the projection, the measures and the bands run over its rows, and every
+reduction runs along a contiguous last axis, which numpy sums in the same
+order as a single curve, so a row's result does not depend on the rows
 stacked with it.  ``empirical_tdf``, ``least_concave_majorant`` and the
 ``measures`` functions are one-row calls of these kernels; the loops in
 ``tests/reference.py`` are their oracle.  Every array after the estimator
@@ -33,7 +33,7 @@ from .envelope import linf_range_given_tdc
 from .errors import ConfigError, DataError
 from .estimator import EstimatorConfig, _window_estimates
 from .measures import DOUBLED
-from .panel import ReturnPanel, aggregate_rows, series_stats_rows
+from .panel import SERIES_STATS, ReturnPanel, aggregate_rows, series_stats_rows
 from .tdf import least_concave_majorant_rows
 
 # The one-pair estimator and the one-window projection stay importable here,
@@ -42,7 +42,7 @@ from .estimator import rolling_estimate  # noqa: F401
 from .tdf import least_concave_majorant  # noqa: F401
 
 DEFAULT_MEASURES = ("tdc", "l1", "linf", "spearman_ev", "extremal_dep")
-CROSS_STATS = ("mean", "median", "st_dev", "minimum", "maximum", "q05", "q95")
+CROSS_STATS = SERIES_STATS  # series_stats_rows' columns
 # Labels of CROSS_STATS, in that order.
 TABLE_STATS = ("Mean", "Median", "St. dev.", "Minimum", "Maximum", "5%-quantile", "95%-quantile")
 TABLE_AGGS = ("5%", "10%", "Mean", "Median", "90%", "95%")  # labels of panel.CROSS_AGGS
@@ -67,7 +67,7 @@ class PipelineConfig:
 @dataclass(frozen=True)
 class PairReport:
     """All windows of one ticker pair, in runs: window j reads row ``index[j]``
-    of ``rows``, ``values`` and ``linf_bounds``."""
+    of ``values`` and ``linf_bounds``."""
 
     base: str
     other: str
@@ -76,7 +76,6 @@ class PairReport:
     end_dates: tuple[str, ...] = field(repr=False)
     values: np.ndarray = field(repr=False)  # (runs, measures), columns as measure_names
     linf_bounds: np.ndarray = field(repr=False)  # (runs, 2): feasible linf range
-    rows: np.ndarray = field(repr=False)  # (runs, m + 1): the functions measured
     index: np.ndarray = field(repr=False)  # (windows,) run of each window
     skipped: tuple[int, ...]
 
@@ -94,9 +93,9 @@ def run_pairs(
 ) -> list[PairReport]:
     """Rolling estimation and measurement for the pairs (base, other), in order.
 
-    The estimator's runs of all pairs are stacked into one array before the
-    projection and the measures, so both run once however the windows split
-    into pairs, and once per run of bitwise-equal consecutive windows.
+    The estimator hands over the runs of all pairs in one array, which the
+    projection and the measures read, so both run once however the windows
+    split into pairs, and once per run of bitwise-equal consecutive windows.
     ``others`` names each ticker once and not the base: a repeat would count
     twice in every cross-section statistic, and the base would pair with itself.
     """
@@ -114,23 +113,16 @@ def run_pairs(
         _check_joint(panel, base, other, config.window)
     # One estimator pass over the panel's columns: the base is ranked once.
     pairs = [(panel.tickers.index(base), panel.tickers.index(other)) for other in others]
-    estimates = _window_estimates(panel.values.T, pairs, config.window, config.step, estimator)
-    # The runs of all pairs, in one array; pair j's are rows offsets[j]: offsets[j + 1].
-    offsets = np.cumsum([0, *(len(est.rows) for est in estimates)])
-    rows = np.concatenate([np.empty((0, config.grid_size + 1)), *(est.rows for est in estimates)])
+    rows, estimates = _window_estimates(panel.values.T, pairs, config.window, config.step, estimator)
     if config.project:
         least_concave_majorant_rows(rows)
-    rows.setflags(write=False)
     values = meas.measure_rows(rows, names, config.normalization)
     bands = np.column_stack(linf_range_given_tdc(meas.measure_rows(rows, ("tdc",))[:, 0],
                                                  config.normalization))
-    reports = []
-    for j, (other, est) in enumerate(zip(others, estimates)):
-        runs = slice(offsets[j], offsets[j + 1])
-        end_dates = tuple(panel.dates[t + config.window - 1] for t in est.starts.tolist())
-        reports.append(PairReport(base, other, names, est.starts, end_dates, values[runs], bands[runs],
-                                  rows[runs], est.index, est.skipped))
-    return reports
+    return [PairReport(base, other, names, starts,
+                       tuple(panel.dates[t + config.window - 1] for t in starts.tolist()),
+                       values[runs], bands[runs], index, skipped)
+            for other, (runs, starts, index, skipped) in zip(others, estimates)]
 
 
 def _check_joint(panel: ReturnPanel, base: str, other: str, window: int) -> None:

@@ -37,6 +37,15 @@ def reference_window(x, y, config):
     return reference.window_tdf(x, y, config.resolve_k(len(x)), config.grid_size, config.tail)
 
 
+def measured_rows(x, y, config):
+    """The functions that run_pairs measures for a pair: its one-pair
+    estimate, projected as run_pairs projects its runs."""
+    rows = rolling_estimate(x, y, config.window, config.step, config.estimator()).rows.copy()
+    if config.project:
+        least_concave_majorant_rows(rows)
+    return rows
+
+
 def stats_list(values):
     """The reference statistics of one series, in CROSS_STATS order."""
     stats = reference.series_stats(values)
@@ -88,8 +97,10 @@ def test_batched_report_equals_reference_composition(case):
     x = panel.column("BASE")
     est_config = config.estimator()
     for rep in reports:
-        assert len(rep.values) == len(rep.linf_bounds) == len(rep.rows)
         y = panel.column(rep.other)
+        rows = measured_rows(x, y, config)
+        assert len(rep.values) == len(rep.linf_bounds) == len(rows)
+        assert np.array_equal(rep.values, meas.measure_rows(rows, NAMES, config.normalization))
         starts = range(0, len(x) - config.window + 1, config.step)
         clean = [t for t in starts
                  if np.all(np.isfinite(x[t:t + config.window]) & np.isfinite(y[t:t + config.window]))]
@@ -102,7 +113,7 @@ def test_batched_report_equals_reference_composition(case):
             if config.project:
                 curve = reference.projection(curve)
             run = rep.index[j]
-            assert np.array_equal(rep.rows[run], curve)
+            assert np.array_equal(rows[run], curve)
             assert rep.end_dates[j] == panel.dates[stop - 1]
             for col, name in enumerate(NAMES):
                 value = reference.measure(curve, name, config.normalization)
@@ -323,13 +334,14 @@ def test_rolling_rows_reuse_only_windows_with_the_same_corners(tail, kind, step,
 @pytest.mark.parametrize("tail", ["lower", "upper"])
 @pytest.mark.parametrize("kind", ["continuous", "levels"])
 @pytest.mark.parametrize("step", [1, 3])
-@pytest.mark.parametrize("chunk_elements", [None, 400])
+@pytest.mark.parametrize("chunk_elements", [None, 400, 40])
 def test_rolling_runs_are_exact_and_maximal(tail, kind, step, chunk_elements, monkeypatch):
     """The estimator's runs: every window's row rows[index] is == its
     one-window estimate bit for bit, consecutive rows differ in their bits
     (equal rows merge whether computed or reused), and index starts at 0 and
     steps by 0 or 1; also with small chunks, so that runs cross chunk
-    boundaries."""
+    boundaries, and with chunks too small for one span per series, which
+    still hold whole spans."""
     window = 80
     rng = np.random.default_rng([len(kind), step, len(tail), chunk_elements or 0])
     n = window + 240
@@ -353,8 +365,13 @@ def test_rolling_runs_are_exact_and_maximal(tail, kind, step, chunk_elements, mo
         stop = start + window
         assert rows[run].tobytes() == reference_window(x[start:stop], y[start:stop], config).tobytes()
     assert len(rows) < len(index)  # some windows share a run
-    if chunk_elements is not None and step == 1:
-        per_chunk, _ = estimator._chunking(2, window, config.resolve_k(window), step)
+    if chunk_elements is None:
+        # 241 series at window 1000 get less than one span each of
+        # CHUNK_ELEMENTS; a chunk still holds one whole span.
+        assert estimator._chunking(241, 1000, 31, 1) == (31, 31)
+    elif step == 1:
+        per_chunk, span = estimator._chunking(2, window, config.resolve_k(window), step)
+        assert per_chunk % span == 0
         cuts = np.arange(per_chunk, len(index), per_chunk)
         assert (index[cuts] == index[cuts - 1]).any()  # a run crosses a chunk boundary
 
@@ -365,9 +382,11 @@ def test_rolling_runs_are_exact_and_maximal(tail, kind, step, chunk_elements, mo
 def test_many_pairs_equal_one_pair_calls(tail, step, kind, monkeypatch):
     """One estimator pass over a base and four others (and a pair without the
     base) gives every pair the rows, index, starts and skipped windows of its
-    own one-pair call, bit for bit.  One other has a NaN gap, so pairs of the
-    same base hold different windows; the chunks are small, so runs cross
-    them, and the one-pair calls cut their chunks elsewhere."""
+    own one-pair call, bit for bit, and every row of the pass belongs to one
+    pair.  One other has a NaN gap, so pairs of the same base hold different
+    windows; the chunks are small, so runs cross them, and at 1000 elements
+    the one-pair calls cut their chunks elsewhere.  At 100 elements the five
+    series get less than one span each, so each chunk holds one span."""
     window, n = 60, 400
     rng = np.random.default_rng([step, len(tail), len(kind)])
     columns = rng.standard_normal((5, n))
@@ -375,18 +394,20 @@ def test_many_pairs_equal_one_pair_calls(tail, step, kind, monkeypatch):
     if kind == "integer":
         columns = np.floor(columns * 2.0)
     columns[2, 150:153] = np.nan
-    monkeypatch.setattr(estimator, "CHUNK_ELEMENTS", 1000)
     config = EstimatorConfig(grid_size=20, tail=tail)
     pairs = [(0, 1), (0, 2), (0, 3), (0, 4), (3, 2)]
-    together = estimator._window_estimates(columns, pairs, window, step, config)
-    assert together[0].starts.size != together[1].starts.size  # the gap is the pair's own
-    for (i, j), got in zip(pairs, together):
-        alone = rolling_estimate(columns[i], columns[j], window, step, config)
-        assert got.starts.tolist() == alone.starts.tolist()
-        assert got.skipped == alone.skipped
-        assert got.index.tolist() == alone.index.tolist()
-        assert got.rows.tobytes() == alone.rows.tobytes()
-        assert len(got.rows) < len(got.starts)
+    for chunk_elements in (1000, 100):
+        monkeypatch.setattr(estimator, "CHUNK_ELEMENTS", chunk_elements)
+        rows, together = estimator._window_estimates(columns, pairs, window, step, config)
+        assert together[0][1].size != together[1][1].size  # the gap is the pair's own
+        assert np.sort(np.concatenate([runs for runs, *_ in together])).tolist() == list(range(len(rows)))
+        for (i, j), (runs, starts, index, skipped) in zip(pairs, together):
+            alone = rolling_estimate(columns[i], columns[j], window, step, config)
+            assert starts.tolist() == alone.starts.tolist()
+            assert skipped == alone.skipped
+            assert index.tolist() == alone.index.tolist()
+            assert rows[runs].tobytes() == alone.rows.tobytes()
+            assert len(runs) < len(starts)
 
 
 def _module_spans(starts, window, k, step):

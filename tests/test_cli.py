@@ -353,6 +353,19 @@ def test_report_bad_grid_exits_2(prices_csv, tmp_path, capsys, grid):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("command", ["report", "envelope"])
+def test_a_run_too_large_for_memory_exits_2(prices_csv, tmp_path, capsys, command):
+    # A grid of 1e11 asks numpy for arrays of 745 GiB, which no machine grants.
+    out_dir = tmp_path / "run"
+    argv = {"report": ["report", "--prices", str(prices_csv), "--base", "BASE", "--window", "8",
+                       "--out-dir", str(out_dir)],
+            "envelope": ["envelope", "--tdc", "0.5", "--measure", "l1"]}[command]
+    assert main(argv + ["--grid", "100000000000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: Unable to allocate") and err.count("\n") == 1
+    assert not out_dir.exists()
+
+
 def test_data_errors_exit_two(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("date,A\n2020-01-02,1.0\n2020-01-01,2.0\n")

@@ -8,6 +8,7 @@ import pytest
 
 import reference
 from taildep.errors import ConfigError, DataError
+from taildep.measures import measure_rows
 from taildep.panel import ReturnPanel
 from taildep.pipeline import (
     CROSS_STATS,
@@ -19,7 +20,7 @@ from taildep.pipeline import (
     write_run,
 )
 
-from test_batch import NAMES, reference_window, stats_list
+from test_batch import NAMES, measured_rows, reference_window, stats_list
 
 
 def toy_panel(n=300, seed=0, tickers=("BASE", "A", "B")):
@@ -61,12 +62,15 @@ def test_linf_contained_in_band_every_window():
 
 
 def test_projection_toggle():
+    off_config = PipelineConfig(window=100, step=50, grid_size=50, project=False)
     on = run_pair(toy_panel(), "BASE", "A", CFG)
-    off = run_pair(toy_panel(), "BASE", "A",
-                   PipelineConfig(window=100, step=50, grid_size=50,
-                                  project=False))
-    assert np.diff(on.rows, 2, axis=1).max() <= 1e-12  # concave
-    assert np.all(on.rows[on.index] >= off.rows[off.index] - 1e-12)
+    off = run_pair(toy_panel(), "BASE", "A", off_config)
+    x, y = toy_panel().column("BASE"), toy_panel().column("A")
+    on_rows, off_rows = measured_rows(x, y, CFG), measured_rows(x, y, off_config)
+    assert np.diff(on_rows, 2, axis=1).max() <= 1e-12  # concave
+    assert np.all(on_rows[on.index] >= off_rows[off.index] - 1e-12)
+    assert np.array_equal(on.values, measure_rows(on_rows, on.measure_names, CFG.normalization))
+    assert np.array_equal(off.values, measure_rows(off_rows, off.measure_names, CFG.normalization))
 
 
 def test_normalization_switch_scales_linf():
@@ -147,13 +151,16 @@ def coupled_panel(n, seed=0):
 
 def reports_against_one_window_composition(panel, others, config):
     """run_pairs, checked window by window against the reference estimate ->
-    projection -> measures / band; returns the reports and the raw one-window
-    estimates stacked as run_pairs stacks them."""
+    projection -> measures / band; returns the reports, the raw one-window
+    estimates stacked pair by pair, and each report's measured functions."""
     reports = run_pairs(panel, "BASE", others, config, NAMES)
     x = panel.column("BASE")
-    raw = []
+    raw, measured = [], []
     for rep in reports:
         y = panel.column(rep.other)
+        rows = measured_rows(x, y, config)
+        assert np.array_equal(rep.values, measure_rows(rows, NAMES, config.normalization))
+        measured.append(rows)
         for j, start in enumerate(rep.starts.tolist()):
             stop = start + config.window
             curve = reference_window(x[start:stop], y[start:stop], config.estimator())
@@ -161,12 +168,12 @@ def reports_against_one_window_composition(panel, others, config):
             if config.project:
                 curve = reference.projection(curve)
             run = rep.index[j]
-            assert rep.rows[run].tobytes() == curve.tobytes()
+            assert rows[run].tobytes() == curve.tobytes()
             for col, name in enumerate(NAMES):
                 assert rep.values[run, col] == reference.measure(curve, name, config.normalization), name
             band = reference.band(reference.measure(curve, "tdc"), config.normalization)
             assert tuple(rep.linf_bounds[run]) == band
-    return reports, np.array(raw).reshape(-1, config.grid_size + 1)
+    return reports, np.array(raw).reshape(-1, config.grid_size + 1), measured
 
 
 def repeats(rows):
@@ -177,13 +184,13 @@ def repeats(rows):
 @pytest.mark.parametrize("project", [True, False])
 def test_equal_windows_within_and_across_pairs(project):
     config = PipelineConfig(window=40, step=1, grid_size=20, project=project)
-    reports, raw = reports_against_one_window_composition(
+    reports, raw, measured = reports_against_one_window_composition(
         coupled_panel(90), ("A", "C1", "C2"), config)
     _, c1, c2 = reports
     assert len(c1.starts) == 51 and repeats(raw[51:]) == 101  # C1 then C2: one run
     assert repeats(raw[:51]) > 0  # the noisy pair repeats too, with step 1
-    assert len(c1.rows) == 1 and set(c1.index.tolist()) == {0}
-    assert c1.rows[0].tobytes() == c2.rows[0].tobytes()
+    assert len(c1.values) == len(measured[1]) == 1 and set(c1.index.tolist()) == {0}
+    assert measured[1][0].tobytes() == measured[2][0].tobytes()
     cross = cross_section(reports)
     for col, name in enumerate(NAMES):
         for t in range(51):
@@ -193,7 +200,7 @@ def test_equal_windows_within_and_across_pairs(project):
 
 def test_one_window_per_pair():
     config = PipelineConfig(window=40, step=1, grid_size=20)
-    reports, raw = reports_against_one_window_composition(
+    reports, raw, _ = reports_against_one_window_composition(
         coupled_panel(40), ("C1", "C2", "A"), config)
     assert [len(rep.starts) for rep in reports] == [1, 1, 1]
     assert repeats(raw) == 1  # C1 and C2
@@ -201,27 +208,26 @@ def test_one_window_per_pair():
 
 def test_pair_with_every_window_skipped_between_equal_pairs():
     config = PipelineConfig(window=40, step=1, grid_size=20)
-    reports, raw = reports_against_one_window_composition(
+    reports, raw, measured = reports_against_one_window_composition(
         coupled_panel(79), ("C1", "SKIP", "C2"), config)
     skip = reports[1]
     assert len(skip.starts) == 0 and len(skip.skipped) == 40
-    assert skip.values.shape == (0, len(NAMES)) and skip.rows.shape == (0, 21)
+    assert skip.values.shape == (0, len(NAMES)) and measured[1].shape == (0, 21)
     assert skip.linf_bounds.shape == (0, 2) and skip.index.shape == (0,)
     assert len(raw) == 80 and repeats(raw) == 79  # one run across the empty block
 
 
 def test_reports_hold_runs_not_windows():
-    # With step 1 most windows repeat the row before them, so the reports'
-    # rows take a small share of one row per window.
+    # With step 1 most windows repeat the row before them, so the reports
+    # hold a small share of one row per window.
     config = PipelineConfig(window=200, step=1, grid_size=50)
     reports = run_pairs(toy_panel(n=700), "BASE", ("A", "B"), config)
     windows = sum(len(rep.starts) for rep in reports)
     assert windows == 2 * 501
-    assert sum(rep.rows.nbytes for rep in reports) < windows * (config.grid_size + 1) * 8 / 4
+    assert sum(len(rep.values) for rep in reports) < windows / 4
     for rep in reports:
         assert rep.index[0] == 0 and set(np.diff(rep.index).tolist()) <= {0, 1}
         runs = rep.index[-1] + 1
-        assert rep.rows.shape == (runs, config.grid_size + 1)
         assert rep.values.shape == (runs, len(rep.measure_names)) and rep.linf_bounds.shape == (runs, 2)
 
 
@@ -319,7 +325,7 @@ def test_write_run_formats_text_once_per_run(tmp_path):
     index = np.array([0, 1, 2, 3, 4, 4, 5, 6])
     n = len(index)
     rep = PairReport("BASE", "A", ("tdc", "linf"), np.arange(n), tuple(f"d{i}" for i in range(n)),
-                     values, bounds, np.zeros((7, 3)), index, ())
+                     values, bounds, index, ())
     per_date = np.repeat(values[:, :1], len(CROSS_STATS), axis=1)
     per_date[:, -1] = values[:, 1]
     cross = {"dates": list(rep.end_dates), "index": index, "per_date": {"tdc": per_date}, "table": {}}

@@ -6,7 +6,7 @@ from pathlib import Path
 
 # Batch kernels, plus the one-curve functions (one-row calls of the kernels)
 # and the batch entry points.
-KERNEL = re.compile(r".*_rows|_window_estimates|_project_chunk|_corner_.*")
+KERNEL = re.compile(r".*_rows|_window_estimates|_chunk_corners|_corner_.*")
 KERNEL_CALLERS = {"empirical_tdf", "least_concave_majorant", "tdc", "point_eval",
                  "max_tail_dependence", "average_tail_dependence", "lp_norm", "spearman_ev",
                  "extremal_dependence", "summary_stats", "run_pair", "run_pairs",
@@ -35,8 +35,9 @@ def test_kernel_uses_are_found():
               "import taildep.measures as meas\n"
               "from taildep import estimator\n"
               "meas.measure_rows\nestimator._window_estimates\nestimator._corner_counts\n"
-              "meas.tdc\nfrom taildep.tdf import _project_chunk, least_concave_majorant\n")
+              "meas.tdc\nfrom taildep.estimator import _chunk_corners\n"
+              "from taildep.tdf import least_concave_majorant\n")
     assert kernel_uses(source) == [
         "least_concave_majorant_rows", "series_stats_rows", "aggregate_rows",
-        "_project_chunk", "least_concave_majorant",
+        "_chunk_corners", "least_concave_majorant",
         "measure_rows", "_window_estimates", "_corner_counts", "tdc"]
