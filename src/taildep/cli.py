@@ -113,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_estimator_flags(p)
     _add_normalization_flag(p, "doubled")
     p.add_argument("--no-project", action="store_true", help="skip the concave projection")
-    p.add_argument("--out-dir", required=True)
+    p.add_argument("--out-dir", required=True, help="run directory, new or empty")
     return parser
 
 
@@ -221,6 +221,9 @@ def _cmd_simulate(args) -> None:
 
 
 def _cmd_report(args) -> None:
+    # A run directory holds one run: an earlier run's files would stay behind.
+    if Path(args.out_dir).is_dir() and any(Path(args.out_dir).iterdir()):
+        raise ConfigError(f"--out-dir {args.out_dir} is not empty; give a new or empty directory")
     panel = load_prices(args.prices, args.format)
     returns = log_returns(panel)
     if args.base not in returns.tickers:

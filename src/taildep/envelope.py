@@ -27,7 +27,7 @@ from .lp import TOL_RC, SimplexSolver
 from .measures import RAW, scale_factor
 from .rng import SplitMix64
 from .tdf import CONCAVITY_TOL, DEFAULT_GRID_SIZE, TailDependenceFunction
-from .tdf import from_grid, upper_bound
+from .tdf import from_grid, snap_rows, upper_bound
 
 MAX_TD = "max_td"
 AVG_TD = "avg_td"
@@ -98,8 +98,9 @@ def _pin_indices(pins, m: int) -> list[tuple[int, float]]:
 
 
 def _as_tdf(x: np.ndarray, m: int) -> TailDependenceFunction:
+    snap_rows(x, upper_bound(m))  # in place; a curve snapped twice is snapped once
     try:
-        return from_grid(np.clip(x, 0.0, upper_bound(m)), enforce_concavity=True)
+        return from_grid(x, enforce_concavity=True)
     except ParameterError as exc:
         raise SolverError(f"curve failed validation: {exc}") from None
 

@@ -59,7 +59,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DataError, ParameterError
-from .tdf import DEFAULT_GRID_SIZE, TailDependenceFunction, TDFKind, upper_bound
+from .tdf import DEFAULT_GRID_SIZE, TailDependenceFunction, from_grid, snap_rows, upper_bound
 
 LOWER = "lower"
 UPPER = "upper"
@@ -138,7 +138,7 @@ def empirical_tdf(sample: RankedSample, config: EstimatorConfig = EstimatorConfi
     """
     columns = np.stack([sample.rank_x, sample.rank_y]).astype(float)
     rows, _ = _window_estimates(columns, [(0, 1)], sample.n, 1, config)
-    return TailDependenceFunction(config.grid_size, rows[0], TDFKind.EMPIRICAL)
+    return from_grid(rows[0], enforce_concavity=False)
 
 
 @dataclass(frozen=True)
@@ -269,9 +269,7 @@ def _window_estimates(columns, pairs, window, step, config):
             continue  # every window joins the run before it
         counts = _corner_counts(corners[ranked[px[pair], at]], corners[ranked[py[pair], at]], k, m)
         counts = counts / k
-        # What from_grid does to the counts: np.clip(counts, 0.0, bound),
-        # where counts >= 0 (and the endpoint counts are already zero).
-        np.minimum(counts, bound, out=counts)
+        snap_rows(counts, bound)
         # A computed row starts a run if its bits differ from the row before
         # its window, which is its pair's computed row before it or the
         # pair's last run's.

@@ -7,9 +7,9 @@ standard deviations are sample standard deviations (ddof = 1).
 
 A wide file is read by numpy's text reader, which converts each cell with
 ``PyOS_string_to_double`` as ``float`` does, so the values have the per-row
-parser's bits; rows with an empty cell or an NA/nan go to that parser, and
-any line or cell the fast reader does not take, an error included, sends the
-whole file through the ``csv`` reader (``_load_wide_fast`` has the rules).
+parser's bits; empty and NA cells reach it as ``nan``, and any line or cell
+the fast reader does not take, an error included, sends the whole file
+through the ``csv`` reader (``_load_wide_fast`` has the rules).
 Summary statistics stack the series missing the same dates as the rows of
 ``series_stats_rows`` calls, up to ``STATS_CHUNK_SERIES`` series a call.
 """
@@ -169,24 +169,22 @@ _EMPTY_LAST = (",", ",\n", ",\r", ",\r\n")  # line endings after an empty last c
 
 
 def _load_wide_fast(tickers: tuple[str, ...], lines) -> ReturnPanel:
-    """``_load_wide`` with numpy's C text reader on the plain rows; raises
+    """``_load_wide`` with numpy's C text reader on every row; raises
     ``_Reread`` on anything else.
 
     A line without a quote is a row whose cells are its comma-separated
     fields.  Its date text is kept, and numpy reads the rest of the line,
     converting each cell with ``PyOS_string_to_double`` after stripping the
     whitespace that ``float`` strips, so each value has ``float``'s bits.  A
-    row with an empty cell or a letter A (NA, nan) feeds numpy a filler and
-    is parsed by ``_parse_prices`` afterwards.  A quote (a cell may then hold
+    row with an empty cell or a letter A hands numpy its empty and NA cells
+    as ``nan``, as ``_parse_cell`` reads them.  A quote (a cell may then hold
     commas or line breaks), a line without a comma, any cell numpy cannot
     read, a bad or non-increasing date and a shape mismatch raise ``_Reread``.
     """
     first = next(lines, None)  # numpy warns on a file with no data rows
     if first is None:
         raise _Reread
-    filler = ",".join(["0"] * len(tickers))
     date_texts: list[str] = []
-    slow: list[tuple[int, str]] = []  # (row index, cells) for _parse_prices
 
     def numeric_cells():
         for line in itertools.chain((first,), lines):
@@ -194,8 +192,8 @@ def _load_wide_fast(tickers: tuple[str, ...], lines) -> ReturnPanel:
             if not comma or '"' in line:
                 raise _Reread
             if ",," in line or line.endswith(_EMPTY_LAST) or "a" in cells or "A" in cells:
-                slow.append((len(date_texts), cells.rstrip("\r\n")))
-                cells = filler
+                cells = ",".join("nan" if cell.strip().upper() in ("", "NA") else cell
+                                 for cell in cells.split(","))
             date_texts.append(date_text)
             yield cells
 
@@ -203,11 +201,6 @@ def _load_wide_fast(tickers: tuple[str, ...], lines) -> ReturnPanel:
         values = np.loadtxt(numeric_cells(), delimiter=",", comments=None, ndmin=2, dtype=float)
         if values.shape != (len(date_texts), len(tickers)):
             raise _Reread
-        for i, cells in slow:
-            row = cells.split(",")
-            if len(row) != len(tickers):
-                raise _Reread
-            values[i] = _parse_prices(row, i + 2)
         dates: list[date] = []
         for row_no, text in enumerate(date_texts, start=2):
             _append_date(dates, text, row_no)

@@ -116,12 +116,12 @@ def run_pairs(
     rows, estimates = _window_estimates(panel.values.T, pairs, config.window, config.step, estimator)
     if config.project:
         least_concave_majorant_rows(rows)
-    values = meas.measure_rows(rows, names, config.normalization)
-    bands = np.column_stack(linf_range_given_tdc(meas.measure_rows(rows, ("tdc",))[:, 0],
-                                                 config.normalization))
+    # The band's coefficient is the last column; tdc takes no scale.
+    measured = meas.measure_rows(rows, (*names, "tdc"), config.normalization)
+    bands = np.column_stack(linf_range_given_tdc(measured[:, -1], config.normalization))
     return [PairReport(base, other, names, starts,
                        tuple(panel.dates[t + config.window - 1] for t in starts.tolist()),
-                       values[runs], bands[runs], index, skipped)
+                       measured[runs, :-1], bands[runs], index, skipped)
             for other, (runs, starts, index, skipped) in zip(others, estimates)]
 
 

@@ -119,13 +119,13 @@ def from_grid(values, enforce_concavity: bool = True) -> TailDependenceFunction:
     Returns a VALIDATED function when bounds, boundary zeros, and concavity all
     hold within tolerance; with ``enforce_concavity=False`` concavity is skipped
     and the result is EMPIRICAL.  Admissible-within-tolerance values are snapped
-    onto the exact constraint set, so invariants hold exactly afterwards.  An
+    onto the exact constraint set by ``snap_rows``, so invariants hold exactly.  An
     inadmissible grid raises ``ParameterError`` naming its worst violation:
     "grid violates <constraint> at index <i> by <magnitude>", with constraint
     ``nonnegative``, ``upper_bound`` or ``concavity`` (a positive second
     difference, at its middle node).
     """
-    v = np.asarray(values, dtype=float)
+    v = np.array(values, dtype=float)  # a copy: snapped in place below
     if v.ndim != 1 or v.size < 3:
         raise ParameterError("grid needs at least 3 values on one axis")
     if not np.all(np.isfinite(v)):
@@ -137,11 +137,17 @@ def from_grid(values, enforce_concavity: bool = True) -> TailDependenceFunction:
             or (second is not None and (second > CONCAVITY_TOL).any())):
         raise ParameterError(_worst_violation(v, bound, second))
 
-    clipped = np.clip(v, 0.0, bound)
-    clipped[0] = 0.0
-    clipped[m] = 0.0
+    snap_rows(v, bound)
     kind = TDFKind.VALIDATED if enforce_concavity else TDFKind.EMPIRICAL
-    return TailDependenceFunction(m, clipped, kind)
+    return TailDependenceFunction(m, v, kind)
+
+
+def snap_rows(values: np.ndarray, bound: np.ndarray) -> None:
+    """The one snap onto the admissible bounds, in place along the last axis:
+    clip to [0, bound] (``upper_bound`` of the grid), both ends exactly 0.0."""
+    np.clip(values, 0.0, bound, out=values)
+    values[..., 0] = 0.0
+    values[..., -1] = 0.0
 
 
 def _worst_violation(v: np.ndarray, bound: np.ndarray, second: np.ndarray | None) -> str:
@@ -221,7 +227,7 @@ def least_concave_majorant_rows(values: np.ndarray) -> None:
     """Overwrite each row of a C-contiguous (rows, m + 1) array with its
     ``least_concave_majorant``: a monotone chain runs column by column with
     one stack per row, the interpolation repeats ``np.interp``'s arithmetic,
-    and the clipping is ``from_grid``'s.  Every value must be finite.
+    and ``snap_rows`` ends it.  Every value must be finite.
 
     The chain scans only the points where a row changes level: a point equal
     to both its neighbours is never a hull vertex, and it pops nothing that
@@ -318,10 +324,7 @@ def least_concave_majorant_rows(values: np.ndarray) -> None:
             v_lo[moved] = v[moved, i]
             hi[moved] = stack[moved, pos[moved]]
             slope[moved] = (v[moved, hi[moved]] - v_lo[moved]) / (s[hi[moved]] - s[i])
-    # from_grid's clip to [0, min(s, 1 - s)], and exact zero endpoints.
-    np.clip(v, 0.0, upper_bound(m), out=v)
-    v[:, 0] = 0.0
-    v[:, m] = 0.0
+    snap_rows(v, upper_bound(m))
 
 
 def _check_grid_size(grid_size: int):

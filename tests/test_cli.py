@@ -1,16 +1,21 @@
 """Command line entry points, run through main() with captured output."""
 
+import contextlib
 import csv
 import errno
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import taildep
 from taildep.cli import main
@@ -469,3 +474,69 @@ def test_unwritable_output_exits_2_naming_the_path(prices_csv, tmp_path, capsys,
     path, reason = ((blocker / "pairs", os.strerror(errno.ENOTDIR)) if command == "report"
                     else (blocker, os.strerror(errno.EEXIST)))
     assert err == f"error: cannot write {path}: {reason}\n"
+
+
+def test_report_into_a_used_out_dir_exits_2_and_keeps_its_files(tmp_path, capsys):
+    # A second run into the same directory would leave the first run's
+    # BASE_T2.csv and BASE_T3.csv beside a manifest that lists one pair.
+    prices = tmp_path / "prices.csv"
+    header, *rows = PRICES.splitlines()
+    prices.write_text("date,BASE,T1,T2,T3\n" + "".join(
+        f"{d},{base},{aaa},{aaa},{base}\n" for d, base, aaa in (row.split(",") for row in rows)))
+    out_dir = tmp_path / "run"
+    args = ["report", "--prices", str(prices), "--base", "BASE", "--window", "8", "--grid", "4",
+            "--out-dir", str(out_dir)]
+    assert main(args) == 0
+    before = {p: p.read_bytes() for p in out_dir.rglob("*") if p.is_file()}
+    assert len(before) > 3
+    capsys.readouterr()
+    assert main(args[:-2] + ["--tickers", "T1", "--out-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --out-dir {out_dir} is not empty; give a new or empty directory\n")
+    assert {p: p.read_bytes() for p in out_dir.rglob("*") if p.is_file()} == before
+    # An existing empty directory takes the run.
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert main(args[:-1] + [str(empty)]) == 0
+    assert (empty / "pairs" / "BASE_T3.csv").read_bytes() == before[out_dir / "pairs" / "BASE_T3.csv"]
+
+
+# Mutations of a clean wide panel: odd cells, bad and repeated dates,
+# duplicated rows and CRLF endings.
+BAD_CELLS = ("", "NA", "nan", "-1", "0", "inf", "1e400", "1e-320", '"1,2"', "abc", " x ")
+BAD_DATES = ("2020-02-30", "01/02/2020", "", "2020-01-05T00:00")
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), crlf=st.booleans())
+def test_malformed_wide_panels_exit_0_or_2_with_one_error_line(data, crlf):
+    rng = np.random.default_rng(5)
+    prices = 100.0 * np.exp(np.cumsum(0.01 * rng.standard_normal((12, 3)), axis=0))
+    rows = [[f"2020-01-{i + 1:02d}", *(f"{p:.6f}" for p in row)] for i, row in enumerate(prices)]
+    for _ in range(data.draw(st.integers(0, 4))):
+        i, j = data.draw(st.integers(0, 11)), data.draw(st.integers(1, 3))
+        rows[i][j] = data.draw(st.sampled_from(BAD_CELLS))
+    for _ in range(data.draw(st.integers(0, 1))):
+        i = data.draw(st.integers(1, 11))
+        rows[i][0] = data.draw(st.sampled_from(BAD_DATES + (rows[i - 1][0],)))
+    for _ in range(data.draw(st.integers(0, 1))):
+        i = data.draw(st.integers(0, 11))
+        rows.insert(i, list(rows[i]))
+    newline = "\r\n" if crlf else "\n"
+    text = newline.join(",".join(row) for row in [["date", "BASE", "T1", "T2"], *rows]) + newline
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "prices.csv"
+        path.write_bytes(text.encode())
+        for argv in (["report", "--prices", str(path), "--base", "BASE", "--window", "4",
+                      "--grid", "4", "--out-dir", str(Path(tmp) / "run")],
+                     ["ingest", "--prices", str(path), "--out", str(Path(tmp) / "returns.csv")],
+                     ["stats", "--returns", str(path), "--out", str(Path(tmp) / "stats.json")],
+                     ["estimate", "--returns", str(path), "--pair", "BASE,T1", "--window", "4",
+                      "--grid", "4", "--out", str(Path(tmp) / "estimate.json")]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                status = main(argv)
+            assert status in (0, 2), argv
+            if status == 2:
+                assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, \
+                    err.getvalue()

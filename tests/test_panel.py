@@ -190,7 +190,7 @@ def test_fast_wide_reader_equals_per_row_reader(data, n_tickers, n_rows, newline
 
 
 def test_fast_wide_reader_takes_plain_and_gappy_rows(tmp_path):
-    # Blank, NA and nan cells go to the per-row parser inside the fast reader;
+    # Blank and NA cells reach numpy as nan, and nan cells as they are;
     # padding, infinities and CRLF endings go through numpy.  No re-read.
     p = tmp_path / "prices.csv"
     p.write_bytes(b"date,A,B,C\r\n2020-01-01, 1.5 ,inf,-0.0\r\n2020-01-02,,NA,-nan\r\n"

@@ -22,7 +22,9 @@ from taildep.tdf import (
     least_concave_majorant,
     least_concave_majorant_rows,
     parabola,
+    snap_rows,
     tent,
+    upper_bound,
 )
 
 # ---------------------------------------------------------------------------
@@ -128,6 +130,19 @@ def test_from_grid_snaps_tolerable_noise():
     out = from_grid(vals)
     assert isinstance(out, TailDependenceFunction)
     assert out.values[2] <= 0.5
+
+
+def test_snap_rows_clips_in_place_and_zeroes_both_ends():
+    rows = np.array([[-0.0, -1e-12, 0.3, 0.5 + 1e-12, 1e-10],
+                     [1e-3, 0.1, 0.2, 0.1, -1e-3]])
+    snap_rows(rows, upper_bound(4))
+    assert rows.tobytes() == np.array([[0.0, 0.0, 0.3, 0.25, 0.0],
+                                       [0.0, 0.1, 0.2, 0.1, 0.0]]).tobytes()
+    # One curve is a row of its own; from_grid's values are this snap's.
+    vals = np.array([1e-10, 0.25, 0.5 + 0.5 * BOUND_TOL, 0.25, 0.0])
+    expected = from_grid(vals).values
+    snap_rows(vals, upper_bound(4))
+    assert vals.tobytes() == expected.tobytes()
 
 
 def test_from_grid_rejects_bad_preconditions():
