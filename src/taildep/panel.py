@@ -7,9 +7,9 @@ standard deviations are sample standard deviations (ddof = 1).
 
 A wide file is read by numpy's text reader, which converts each cell with
 ``PyOS_string_to_double`` as ``float`` does, so the values have the per-row
-parser's bits; empty and NA cells reach it as ``nan``, and any line or cell
-the fast reader does not take, an error included, sends the whole file
-through the ``csv`` reader (``_load_wide_fast`` has the rules).
+parser's bits; empty, blank-only and NA cells reach it as ``nan``, and any
+line or cell the fast reader does not take, an error included, sends the
+whole file through the ``csv`` reader (``_load_wide_fast`` has the rules).
 Summary statistics stack the series missing the same dates as the rows of
 ``series_stats_rows`` calls, up to ``STATS_CHUNK_SERIES`` series a call.
 """
@@ -176,10 +176,11 @@ def _load_wide_fast(tickers: tuple[str, ...], lines) -> ReturnPanel:
     fields.  Its date text is kept, and numpy reads the rest of the line,
     converting each cell with ``PyOS_string_to_double`` after stripping the
     whitespace that ``float`` strips, so each value has ``float``'s bits.  A
-    row with an empty cell or a letter A hands numpy its empty and NA cells
-    as ``nan``, as ``_parse_cell`` reads them.  A quote (a cell may then hold
-    commas or line breaks), a line without a comma, any cell numpy cannot
-    read, a bad or non-increasing date and a shape mismatch raise ``_Reread``.
+    row with an empty cell, a space, a tab or a letter A hands numpy its
+    empty, blank and NA cells as ``nan``, as ``_parse_cell`` reads them.  A
+    quote (a cell may then hold commas or line breaks), a line without a
+    comma, any cell numpy cannot read, a bad or non-increasing date and a
+    shape mismatch raise ``_Reread``.
     """
     first = next(lines, None)  # numpy warns on a file with no data rows
     if first is None:
@@ -191,7 +192,8 @@ def _load_wide_fast(tickers: tuple[str, ...], lines) -> ReturnPanel:
             date_text, comma, cells = line.partition(",")
             if not comma or '"' in line:
                 raise _Reread
-            if ",," in line or line.endswith(_EMPTY_LAST) or "a" in cells or "A" in cells:
+            if (",," in line or line.endswith(_EMPTY_LAST) or " " in cells or "\t" in cells
+                    or "a" in cells or "A" in cells):
                 cells = ",".join("nan" if cell.strip().upper() in ("", "NA") else cell
                                  for cell in cells.split(","))
             date_texts.append(date_text)

@@ -119,8 +119,8 @@ def run_pairs(
     # The band's coefficient is the last column; tdc takes no scale.
     measured = meas.measure_rows(rows, (*names, "tdc"), config.normalization)
     bands = np.column_stack(linf_range_given_tdc(measured[:, -1], config.normalization))
-    return [PairReport(base, other, names, starts,
-                       tuple(panel.dates[t + config.window - 1] for t in starts.tolist()),
+    dates = np.array(panel.dates, dtype=object)
+    return [PairReport(base, other, names, starts, tuple(dates[starts + config.window - 1]),
                        measured[runs, :-1], bands[runs], index, skipped)
             for other, (runs, starts, index, skipped) in zip(others, estimates)]
 

@@ -9,10 +9,11 @@ quadrant is recovered by homogeneity:
 
 This module holds the grid representation (uniform grid, piecewise-linear
 interpolation), constructors for the standard parametric shapes, the concave
-projection (one curve, or every row of a stacked array), and JSON
-serialization.  Every curve is built by ``from_grid``, the one admissibility
-gate: it returns the function or raises ``ParameterError`` naming the worst
-violated constraint.
+projection (one curve, or every row of a stacked array: one monotone chain
+over all rows at once, then ``np.interp`` per row), and JSON serialization.
+Every curve is built by ``from_grid``, the one admissibility gate: it
+returns the function or raises ``ParameterError`` naming the worst violated
+constraint.
 """
 
 from __future__ import annotations
@@ -226,8 +227,8 @@ def least_concave_majorant(tdf: TailDependenceFunction) -> TailDependenceFunctio
 def least_concave_majorant_rows(values: np.ndarray) -> None:
     """Overwrite each row of a C-contiguous (rows, m + 1) array with its
     ``least_concave_majorant``: a monotone chain runs column by column with
-    one stack per row, the interpolation repeats ``np.interp``'s arithmetic,
-    and ``snap_rows`` ends it.  Every value must be finite.
+    one stack per row, ``np.interp`` fills each row between its hull
+    vertices, and ``snap_rows`` ends it.  Every value must be finite.
 
     The chain scans only the points where a row changes level: a point equal
     to both its neighbours is never a hull vertex, and it pops nothing that
@@ -305,25 +306,9 @@ def least_concave_majorant_rows(values: np.ndarray) -> None:
         stack[scan, top[scan]] = i
         top[scan] += 1
 
-    # np.interp(s, s[hull], v[hull]), in place: hull vertices keep their value,
-    # the points between two vertices lo < i < hi get slope * (s_i - s_lo) + v_lo
-    # with slope = (v_hi - v_lo) / (s_hi - s_lo).  Vertices are never
-    # overwritten, so v stays readable at every vertex.
-    lo = np.zeros(rows, dtype=np.intp)
-    v_lo = v[:, 0].copy()
-    pos = np.ones(rows, dtype=np.intp)  # stack position of the segment's right end
-    hi = stack[:, 1].astype(np.intp)
-    slope = (v[r, hi] - v_lo) / (s[hi] - s[0])
-    for i in range(1, m):
-        at = hi == i
-        v[:, i] = np.where(at, v[:, i], slope * (s[i] - s[lo]) + v_lo)
-        moved = np.flatnonzero(at)
-        if moved.size:
-            pos[moved] += 1
-            lo[moved] = i
-            v_lo[moved] = v[moved, i]
-            hi[moved] = stack[moved, pos[moved]]
-            slope[moved] = (v[moved, hi[moved]] - v_lo[moved]) / (s[hi[moved]] - s[i])
+    for j in range(rows):
+        hull = stack[j, :top[j]]
+        v[j] = np.interp(s, s[hull], v[j, hull])
     snap_rows(v, upper_bound(m))
 
 

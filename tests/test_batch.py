@@ -573,12 +573,13 @@ def _full_scan_rows(rng, m):
     return np.array(rows)
 
 
-@pytest.mark.parametrize("m", [4, 7, 40, 200])
+@pytest.mark.parametrize("m", [2, 3, 4, 7, 40, 200])
 def test_projection_rows_flagged_for_full_scan_equal_one_curve(m):
     # Where value gaps times grid gaps may underflow or tie, skipping a flat
     # point can move a hull vertex along a flat run, and interpolating from
     # the other vertex rounds differently: [0, d, d, d, 0] with d = 5e-324
-    # does so at m = 4.  Mixed with unflagged rows, the flag is per row.
+    # does so at m = 4.  Mixed with unflagged rows, the flag is per row.  At
+    # m = 2 and 3 a hull can be its two ends alone.
     rng = np.random.default_rng(m)
     grids = np.concatenate([_full_scan_rows(rng, m), _level_rows(rng, m, "lattice")])
     rng.shuffle(grids)

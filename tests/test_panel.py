@@ -190,14 +190,17 @@ def test_fast_wide_reader_equals_per_row_reader(data, n_tickers, n_rows, newline
 
 
 def test_fast_wide_reader_takes_plain_and_gappy_rows(tmp_path):
-    # Blank and NA cells reach numpy as nan, and nan cells as they are;
-    # padding, infinities and CRLF endings go through numpy.  No re-read.
+    # Empty, blank-only and NA cells reach numpy as nan, and nan cells as
+    # they are; padding, infinities and CRLF endings go through numpy.  No
+    # re-read.
     p = tmp_path / "prices.csv"
     p.write_bytes(b"date,A,B,C\r\n2020-01-01, 1.5 ,inf,-0.0\r\n2020-01-02,,NA,-nan\r\n"
-                  b"2020-01-03,2,1e500,3\r\n2020-01-04,nan,2.5,\r\n")
+                  b"2020-01-03,2,1e500,3\r\n2020-01-04,nan,2.5,\r\n2020-01-05,1.0, ,2.0\r\n"
+                  b"2020-01-06,\t,3.5,4\r\n2020-01-07,1.5,2.0, \r\n")
     fast = _outcome(_fast_only, p)
     assert fast == _outcome(_per_row, p)
-    assert fast[0] == ("2020-01-01", "2020-01-02", "2020-01-03", "2020-01-04")
+    assert fast[0] == ("2020-01-01", "2020-01-02", "2020-01-03", "2020-01-04", "2020-01-05",
+                       "2020-01-06", "2020-01-07")
 
 
 @pytest.mark.parametrize("text, message", [
