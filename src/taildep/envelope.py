@@ -7,12 +7,11 @@ pointwise smallest member, and the Frechet bound clipped by the extended chords
 of neighbouring anchor intervals is the pointwise largest value, attained by a
 tent (the interpolant of the anchors plus one point).  Every minimum, the
 ``max_td`` and ``point_eval`` maxima and the mixtures of tents drawn by
-``random_feasible`` are closed forms.  The ``avg_td`` maximum is a cutting
-plane over one slope per interior pin, whose small master LP runs on the
-in-repo simplex and gains each round's cuts as rows of one live tableau.
+``random_feasible`` are closed forms.  The ``avg_td`` maximum is exact by a
+dynamic program over the LP dual along the pins, certified by its dual value.
 ``linf_range_given_tdc`` is the continuous closed form for the sup-measure
-given the coefficient.  Grid ranges inherit a +-2/grid_size
-resolution, reported on the result.
+given the coefficient.  Grid ranges inherit a +-2/grid_size resolution,
+reported on the result.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError, ParameterError, SolverError
-from .lp import TOL_RC, SimplexSolver
 from .measures import RAW, scale_factor
 from .rng import SplitMix64
 from .tdf import CONCAVITY_TOL, DEFAULT_GRID_SIZE, TailDependenceFunction
@@ -35,8 +33,8 @@ POINT_EVAL = "point_eval"
 
 PinPair = tuple[float, float]
 N_MIX = 3  # tents mixed by one random_feasible draw
-MAX_ROUNDS = 30  # cutting-plane rounds of the avg_td maximum before SolverError
-GAP_TOL = 1e-13  # master bound minus best curve value at which the maximum is exact
+GAP_TOL = 1e-13  # dual bound minus best curve value at which the avg_td maximum is exact
+SLOPE_TOL = 1e-15  # per unit of budget: complementary slackness the splits may miss by
 
 
 @dataclass(frozen=True)
@@ -52,7 +50,6 @@ class EnvelopeResult:
     argmin: TailDependenceFunction
     argmax: TailDependenceFunction
     resolution: float
-    lp_iterations: int = 0  # dual pivots plus a pricing pass per solve; 0 for closed forms
 
     def to_dict(self) -> dict:
         return {
@@ -155,84 +152,130 @@ def _tent(idx: np.ndarray, val: np.ndarray, i: int, value: float, lower: np.ndar
     return tent
 
 
-def _weighted_sum_max(idx: np.ndarray, val: np.ndarray, upper: np.ndarray, w: np.ndarray):
-    """Maximum of ``w @ x`` (w >= 0) over admissible curves through the
-    anchors, a curve attaining it, and the simplex iterations spent.
+def _pl(xs, ys, tail, at):
+    """The convex polyline through (xs, ys), rising by ``tail`` per unit past xs[-1]."""
+    return np.interp(at, xs, ys) + tail * np.maximum(at - xs[-1], 0.0)
 
-    A concave curve lies under its supporting line at each interior anchor j,
-    whose slope t_j lies between the chords on either side.  Given the slopes,
-    the best curve on anchor interval k is min(F, line of anchor k, line of
-    anchor k + 1), with F the Frechet bound, and its weighted sum B_k over the
-    interval is concave and piecewise linear in (t_k, t_{k+1}).  Kelley's
-    cutting-plane method maximises sum_k B_k: a master LP with one epigraph
-    variable per interval, at most the interval's sum under the upper
-    envelope, gains each round the active affine piece of B_k wherever it
-    overestimates B_k.  There are finitely many pieces, so the master bound
-    meets the best curve found at the exact maximum.  One master lives for the
-    whole call, with the scaled objective fixed at construction: each round
-    appends its cuts to the live simplex tableau, whose dual pass re-optimises
-    from the last basis, and the iterations returned are that one solver's
-    dual pivots plus one pricing pass per solve, over every round.
+
+def _end_sum(phi, slope, w):
+    """For G(y) = sum w min(phi, slope y): the breakpoints S (ascending) and values
+    of max_y G(y) - pi y, and G's kinks from 0 to inf; G's slope after kinks[j] is S[-j - 1]."""
+    pos = phi > 0.0
+    y = phi[pos] / slope[pos]
+    order = np.argsort(y, kind="stable")
+    S = np.concatenate([[0.0], np.cumsum((w * slope)[pos][order][::-1])])
+    e = w[~pos] @ phi[~pos] + np.concatenate([[0.0], np.cumsum((w * phi)[pos][order])])
+    return S, e[::-1], np.concatenate([[0.0], y[order], [np.inf]])
+
+
+def _argmax_range(S, kinks, pi):
+    """The y where G's slope passes pi, within SLOPE_TOL (a slope test: near-flat pieces are long)."""
+    return (kinks[S.size - np.searchsorted(S, pi + SLOPE_TOL, "right")],
+            kinks[S.size - np.searchsorted(S, pi - SLOPE_TOL, "left")])
+
+
+def _ratio_range(A, B, a, b):
+    """alpha / beta where a alpha + b beta - min_c (A_c alpha + B_c beta) <= SLOPE_TOL
+    (alpha + beta): the widened normal cone at (a, b); (inf, 0) if only zero is left."""
+    u, v = a - A - SLOPE_TOL, b - B - SLOPE_TOL
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = -v / u
+    r_lo = np.max(np.where(u < 0.0, r, np.where(v > 0.0, np.inf, 0.0))[u <= 0.0], initial=0.0)
+    r_hi = np.min(r[u > 0.0], initial=np.inf)
+    return (float(r_lo), float(r_hi)) if r_lo <= r_hi else (np.inf, 0.0)
+
+
+def _weighted_sum_max(idx: np.ndarray, val: np.ndarray, w: np.ndarray):
+    """Maximum of ``w @ x`` (w >= 0) over admissible curves through the
+    anchors, and a curve attaining it.
+
+    At each interior anchor j a concave curve lies under a supporting line,
+    which rises alpha_j dl over the chord of interval j and beta_{j-1} |dr|
+    over that of interval j - 1 (dl, dr: offsets from the interval's
+    anchors); alpha_j + beta_{j-1} = D_j, the drop of the chord slope at j.
+    The curve is the least of F and the lines, and F binds only on the end
+    intervals: a middle one adds min_c (alpha A_c + beta B_c), A_c and B_c the
+    prefix sums of w dl and suffix sums of w |dr|.  The LP dual, a price pi_j
+    per budget, is  min sum_j D_j pi_j + e_0(pi_1) + e_p(pi_p)  over pi >= 0
+    with pi_{k+1} >= Psi_k(pi_k) (Psi_k: the polyline through the (A_c, B_c);
+    e_0, e_p: conjugates of the end sums).  A dynamic program solves it
+    exactly: J_1 = D_1 pi + e_0, J_{k+1}(pi') = D_{k+1} pi' + min of J_k over
+    pi >= Psi_k^-1(pi'), convex piecewise linear with breakpoints from two
+    sets, and min J_p + e_p.  By complementary slackness the backtracked
+    prices bound alpha / beta on middle intervals and the budget an end one
+    takes; a forward and a backward pass choose each split nearest an even
+    one.  SolverError unless the curve is within GAP_TOL of the dual value.
     """
     m = w.size - 1
-    p = idx.size - 2  # interior anchors, one slope each (per unit s)
-    chord = np.diff(val) / np.diff(idx) * m
-    # t_j lies in [min(s_j, s_{j-1}), s_{j-1}]; right of the anchor the line
-    # rises by the slope rise the slope test tolerates, so near-tolerance
-    # anchors keep both sides on their chords.
-    t_lo, t_hi = np.minimum(chord[1:], chord[:-1]), chord[:-1]
+    p = idx.size - 2  # interior anchors, one budget each
+    if p == 0:  # F itself
+        return float(w @ upper_bound(m)), upper_bound(m)
+    chord = np.diff(val) / np.diff(idx) * m  # per unit s
+    # Right of an anchor the line rises by the slope rise the slope test
+    # tolerates, so near-tolerance anchors keep both sides on their chords.
     rise = np.maximum(chord[1:] - chord[:-1], 0.0)
+    budget = np.maximum(chord[:-1] - chord[1:], 0.0)
     i = np.setdiff1d(np.arange(m + 1), idx)  # grid points strictly inside an interval
     k = np.searchsorted(idx, i) - 1
     dl, dr = (i - idx[k]) / m, (i - idx[k + 1]) / m  # offsets from both anchors
     wi, bound = w[i], upper_bound(m)[i]
-    const = np.stack([bound, val[k] + np.concatenate([[0.0], rise])[k] * dl, val[k + 1]])
-    n = p + 1  # interval k runs from anchor k to k + 1; anchor j's slope is column j - 1
-    rows = np.arange(n)
-    lo = np.concatenate([t_lo, np.zeros(n)])
-    hi = np.concatenate([t_hi, np.bincount(k, wi * upper[i], minlength=n)])
-    obj = np.concatenate([np.zeros(p), np.ones(n)])
-    scale = np.where(hi > lo, hi - lo, 1.0)
+    chord_x = val[k] + chord[k] * dl
+    seg = np.searchsorted(k, np.arange(p + 2))
+    first, last = slice(seg[0], seg[1]), slice(seg[p], seg[p + 1])
+    S0, e0, kinks0 = _end_sum((bound - chord_x)[first], -dr[first], wi[first])
+    Sp, ep, kinksp = _end_sum((bound - chord_x)[last], dl[last], wi[last])
+    xs, ys, stages = S0, budget[0] * S0 + e0, []
+    for j in range(1, p):  # middle interval j, from anchor j to j + 1
+        s = slice(seg[j], seg[j + 1])
+        A = np.concatenate([[0.0], np.cumsum(wi[s] * dl[s])])
+        B = np.concatenate([np.cumsum(-(wi[s] * dr[s])[::-1])[::-1], [0.0]])
+        star = xs[np.argmin(ys)]
+        pis = np.unique(np.concatenate([np.interp(xs[xs >= star], A, B), B[B < np.interp(star, A, B)]]))
+        ys = budget[j] * pis + _pl(xs, ys, budget[j - 1], np.maximum(np.interp(pis, B[::-1], A[::-1]), star))
+        xs = pis
+        stages.append((A, B, star))
+    pis = np.unique(np.concatenate([xs, Sp]))
+    total = _pl(xs, ys, budget[-1], pis) + np.interp(pis, Sp, ep)
+    dual = float(w[idx] @ val + wi @ chord_x + total.min())
+    pi = [pis[np.argmin(total)]]
+    for A, B, star in stages[::-1]:
+        pi.append(max(np.interp(pi[-1], B[::-1], A[::-1]), star))
+    pi = [float(v) for v in pi[::-1]]  # pi[j] prices budget[j]
+    # The last budget has no middle interval on its right: any ratio.
+    cones = [_ratio_range(A, B, pi[j], pi[j + 1]) for j, (A, B, _) in enumerate(stages)] + [(0.0, np.inf)]
+    # Forward: the alpha_{j+1} the intervals on its left can complete (budgets bind hard).
+    b_lo, b_hi = _argmax_range(S0, kinks0, pi[0])
+    reach = []
+    for j in range(p):
+        b_lo, b_hi = min(max(b_lo, 0.0), budget[j]), min(max(b_hi, 0.0), budget[j])
+        lo, hi = budget[j] - b_hi, budget[j] - b_lo
+        r_lo, r_hi = cones[j]
+        if r_hi == 0.0:  # alpha = 0 only
+            lo = hi = min(max(0.0, lo), hi)
+        b_lo, b_hi = lo / r_hi if r_hi else 0.0, hi / r_lo if r_lo else np.inf
+        reach.append((lo, hi))
+    # Backward: in its reach, the alpha nearest an even split that its range allows.
+    beta = np.zeros(p)
+    c_lo, c_hi = _argmax_range(Sp, kinksp, pi[-1])
+    for j in range(p - 1, -1, -1):
+        lo, hi = reach[j]
+        beta[j] = budget[j] - min(max(min(max(0.5 * budget[j], c_lo), c_hi), lo), hi)
+        r_lo, r_hi = cones[j - 1]
+        c_lo, c_hi = r_lo * beta[j] if beta[j] > 0.0 else 0.0, r_hi * beta[j] if r_hi < np.inf else np.inf
+    t = chord[:-1] - beta  # supporting slopes
     x = np.zeros(m + 1)
     x[idx] = val
-    anchored = float(w[idx] @ val)
-
-    # Mid-range slopes first, against the upper envelope as the first estimate.
-    t, eta = 0.5 * (t_lo + t_hi), hi[p:]
-    # The simplex's tolerances are absolute, so it sees every variable over
-    # [0, 1], every row with a unit epigraph coefficient, and an objective
-    # in which its reduced-cost tolerance is worth GAP_TOL.
-    master = SimplexSolver(np.zeros((0, p + n)), [], np.zeros(p + n), (hi - lo) / scale,
-                           obj * scale * (TOL_RC / GAP_TOL))
-    best, argmax = -np.inf, x
-    for _ in range(MAX_ROUNDS):
-        # Interval 0 has no left line and interval p no right line.
-        left = const[1] + np.concatenate([[np.inf], t])[k] * dl
-        right = const[2] + np.concatenate([t, [-np.inf]])[k] * dr
-        active = np.argmin(np.stack([bound, left, right]), axis=0)
-        x[i] = np.choose(active, (bound, left, right))
-        value = float(w @ x)
-        if value > best:
-            best, argmax = value, x.copy()
-        if float(eta.sum()) + anchored - best <= GAP_TOL:
-            return best, argmax, master.iterations
-        part = np.bincount(k, wi * x[i], minlength=n)
-        # The active pieces summed per interval: eta_k <= const + weights . slopes.
-        cut = np.zeros((n, p + n))
-        cut[rows, p + rows] = 1.0
-        cut[rows[1:], rows[:-1]] = -np.bincount(k, wi * dl * (active == 1), minlength=n)[1:]
-        cut[rows[:-1], rows[:-1]] = -np.bincount(k, wi * dr * (active == 2), minlength=n)[:-1]
-        rhs = np.bincount(k, wi * np.choose(active, const), minlength=n)
-        new = eta > part
-        a, b = cut[new], rhs[new]
-        # Scaling is per row, so each round appends only its own rows to
-        # the live master and the rows before them never change.
-        az = a * scale
-        row = az[:, p:].max(axis=1)
-        master.add_rows(az / row[:, None], (b - a @ lo) / row)
-        sol = master.solve()
-        t, eta = t_lo + scale[:p] * sol.x[:p], scale[p:] * sol.x[p:]
-    raise SolverError(f"avg_td maximum did not converge in {MAX_ROUNDS} cutting-plane rounds")
+    # Interval 0 has no left line and interval p no right line.
+    left = val[k] + np.concatenate([[0.0], rise])[k] * dl + np.concatenate([[np.inf], t])[k] * dl
+    right = val[k + 1] + np.concatenate([t, [-np.inf]])[k] * dr
+    x[i] = np.minimum(np.minimum(left, right), np.where((k == 0) | (k == p), bound, np.inf))
+    gap = dual - float(w @ x)
+    if gap > GAP_TOL:
+        raise SolverError(f"avg_td maximum: the dual bound exceeds the best curve by {gap:.3e}")
+    # F binds on a middle interval only where the pin or concavity tolerance
+    # lets a chord slope pass 1 in size: clipping there costs at most that.
+    x[i] = np.minimum(x[i], bound)
+    return float(w @ x), x
 
 
 def measure_range(
@@ -247,10 +290,10 @@ def measure_range(
     Closed forms: every minimum is the measure of the anchor interpolant, which
     is also the argmin; the ``max_td`` and ``point_eval`` maxima are read off
     the upper envelope, attained by the tent through the anchors and the
-    maximising grid point.  The ``avg_td`` maximum optimises one supporting
-    slope per interior pin by an exact cutting plane (``_weighted_sum_max``);
-    ``lp_iterations`` counts the dual pivots of its one live master LP plus
-    one pricing pass per solve.
+    maximising grid point.  The ``avg_td`` maximum splits each interior pin's
+    kink between its two neighbouring intervals, chosen by a dynamic program
+    over the LP dual along the pins (``_weighted_sum_max``), and holds only
+    once the dual value certifies it within ``GAP_TOL``.
     """
     m = grid_size
     scale = scale_factor(normalization)
@@ -261,12 +304,11 @@ def measure_range(
     if measure == POINT_EVAL and s0 is None:
         raise ParameterError("point_eval needs s0")
     idx, val, lower, upper = _envelopes(pins, m)
-    iterations = 0
     if measure == AVG_TD:
         c = np.full(m + 1, 1.0 / m)
         c[0] = c[-1] = 0.5 / m
         min_value = float(c @ lower)
-        max_value, x, iterations = _weighted_sum_max(idx, val, upper, c)
+        max_value, x = _weighted_sum_max(idx, val, c)
         argmax = _as_tdf(x, m)
     else:
         top = int(np.argmax(upper)) if measure == MAX_TD else _grid_index(s0, m)
@@ -276,7 +318,7 @@ def measure_range(
 
     return EnvelopeResult(measure, normalization, m, tuple((float(a), float(b)) for a, b in pins),
                           scale * min_value, scale * max_value, _as_tdf(lower, m), argmax,
-                          resolution=2.0 / m, lp_iterations=iterations)
+                          resolution=2.0 / m)
 
 
 def linf_range_given_tdc(lam, normalization: str = RAW) -> tuple:

@@ -26,5 +26,5 @@ class InfeasibleError(TailDepError, ValueError):
 
 
 class SolverError(TailDepError, RuntimeError):
-    """The simplex stopped without an answer (iteration limit, singular pivot),
-    or its vertex failed validation as a curve."""
+    """No certified answer: the avg_td curve misses its dual bound, the simplex
+    stopped (iteration limit, singular pivot), or a curve failed validation."""

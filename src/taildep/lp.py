@@ -1,7 +1,5 @@
-"""Dense bounded-variable dual simplex, kept in-repo so the envelope code has
-no external solver dependency.  It solves the master LP of the cutting plane
-behind the ``avg_td`` maximum in ``taildep.envelope``: a few epigraph and
-slope variables per interior pin, not one variable per grid point.
+"""Dense bounded-variable dual simplex.  No module of the package uses it: the
+benchmark's tracer and the tests' ``simplex_accepts`` still import it.
 
 Solves   max c.x   subject to   A x <= b,  lower <= x <= upper,
 

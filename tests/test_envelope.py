@@ -52,11 +52,12 @@ def test_avg_range_under_midpoint_pin():
     assert float(average_tail_dependence(res.argmax)) == pytest.approx(0.1875, abs=1e-9)
 
 
-def test_avg_td_round_cap_raises_solver_error(monkeypatch):
-    # one master solve leaves the cutting plane short of the maximum
-    monkeypatch.setattr(taildep.envelope, "MAX_ROUNDS", 1)
+def test_avg_td_gap_above_tolerance_raises_solver_error(monkeypatch):
+    # A certificate no curve can meet: the dual bound never undercuts the best
+    # curve by more than rounding.
+    monkeypatch.setattr(taildep.envelope, "GAP_TOL", -1e-9)
     pins = [(s, (s ** -2.0 + (1.0 - s) ** -2.0) ** -0.5) for s in (0.25, 0.5, 0.75)]
-    with pytest.raises(SolverError, match="did not converge"):
+    with pytest.raises(SolverError, match=r"^avg_td maximum: the dual bound exceeds the best curve by "):
         measure_range(pins, "avg_td", grid_size=100)
 
 
