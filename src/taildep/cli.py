@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import re
 import sys
 from pathlib import Path
@@ -24,7 +23,7 @@ from .errors import ConfigError, DataError, TailDepError
 from .estimator import EstimatorConfig, rolling_estimate
 from .order import compare
 from .panel import LONG, WIDE, ReturnPanel, load_prices, log_returns, summary_stats
-from .pipeline import DEFAULT_MEASURES, PipelineConfig, cross_section, format_float, run_pairs, write_run
+from .pipeline import DEFAULT_MEASURES, PipelineConfig, cross_section, run_pairs, write_run
 from .pipeline import run_pair  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .simulate import CopulaSpec, sample
 from .tdf import TailDependenceFunction, TDFKind
@@ -132,11 +131,11 @@ def _write_returns_csv(panel: ReturnPanel, path: str) -> None:
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("date," + ",".join(panel.tickers) + "\n")
-        for i, d in enumerate(panel.dates):
-            row = [d]
-            for v in panel.values[i]:
-                row.append("" if math.isnan(v) else format_float(v))
-            fh.write(",".join(row) + "\n")
+        # tolist() one row at a time: the whole panel's would double the memory.
+        # Returns are finite or NaN, and no finite or infinite float's repr
+        # holds "nan", so the replace blanks exactly the NaN cells.
+        for d, row in zip(panel.dates, panel.values):
+            fh.write(f"{d},{','.join(map(repr, row.tolist())).replace('nan', '')}\n")
 
 
 def _cmd_ingest(args) -> None:
@@ -215,8 +214,7 @@ def _cmd_simulate(args) -> None:
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("u,v\n")
-        for u, v in pairs:
-            fh.write(f"{format_float(u)},{format_float(v)}\n")
+        fh.writelines(f"{u!r},{v!r}\n" for u, v in pairs.tolist())
     print(f"wrote {args.out}: {args.n} pairs from {args.family}")
 
 

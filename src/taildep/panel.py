@@ -10,6 +10,8 @@ A wide file is read by numpy's text reader, which converts each cell with
 parser's bits; empty, blank-only and NA cells reach it as ``nan``, and any
 line or cell the fast reader does not take, an error included, sends the
 whole file through the ``csv`` reader (``_load_wide_fast`` has the rules).
+A long file has one reader: one pass over its ``csv`` rows parses each
+distinct date text once, and one scatter fills the panel.
 Summary statistics stack the series missing the same dates as the rows of
 ``series_stats_rows`` calls, up to ``STATS_CHUNK_SERIES`` series a call.
 """
@@ -86,8 +88,11 @@ def load_prices(path, fmt: str = WIDE) -> ReturnPanel:
 
     ``wide``: header ``date,T1,T2,...``, one row per date, already strictly
     increasing.  ``long``: header ``date,ticker,price``; rows in any order,
-    assembled then date-sorted; duplicate (date, ticker) cells are errors.
-    Errors carry 1-based row numbers (header is row 1).
+    assembled then date-sorted, tickers in order of first appearance, absent
+    cells NaN; duplicate (date, ticker) cells are errors.  Each row is checked
+    for its cell count, date, ticker, duplicate and price, in that order.
+    Errors carry 1-based row numbers (header is row 1).  A leading UTF-8 BOM
+    is skipped.
 
     A wide file is first read by ``_load_wide_fast``; whatever that reader
     leaves alone, an error included, sends the whole file through the per-row
@@ -103,7 +108,7 @@ def _read_prices(path, fmt: str, fast: bool) -> ReturnPanel:
     """``load_prices`` with the wide body read by ``_load_wide_fast`` if
     ``fast``, else by the per-row ``_load_wide``."""
     try:
-        handle = open(path, newline="", encoding="utf-8")
+        handle = open(path, newline="", encoding="utf-8-sig")  # a BOM is skipped
     except OSError as exc:
         raise DataError(f"cannot read prices file {path}: {exc.strerror}") from None
     with handle:
@@ -215,29 +220,28 @@ def _load_long(header: list[str], rows) -> ReturnPanel:
     header = [h.strip().lower() for h in header]
     if header != ["date", "ticker", "price"]:
         raise DataError("long CSV header must be date,ticker,price")
-    cells: dict[tuple[date, str], float] = {}
-    tickers: list[str] = []
+    cells: dict[tuple[date, str], float] = {}  # in row order
+    parsed: dict[str, date] = {}  # each distinct date text is parsed once
     for row_no, row in enumerate(rows, start=2):
         if len(row) != 3:
             raise DataError(f"row {row_no}: expected 3 cells, found {len(row)}")
-        d = _parse_date(row[0], row_no)
+        d = parsed.get(row[0]) or parsed.setdefault(row[0], _parse_date(row[0], row_no))
         ticker = row[1].strip()
         if not ticker:
             raise DataError(f"row {row_no}: empty ticker")
         if (d, ticker) in cells:
             raise DataError(f"row {row_no}: duplicate observation for ({d}, {ticker})")
-        if ticker not in tickers:
-            tickers.append(ticker)
         cells[(d, ticker)] = _parse_cell(row[2], row_no, "price")
     if not cells:
         raise DataError("no data rows")
-    dates = sorted({d for d, _ in cells})
-    date_pos = {d: i for i, d in enumerate(dates)}
-    ticker_pos = {t: j for j, t in enumerate(tickers)}
-    values = np.full((len(dates), len(tickers)), np.nan)
-    for (d, ticker), price in cells.items():
-        values[date_pos[d], ticker_pos[ticker]] = price
-    return ReturnPanel(tuple(d.isoformat() for d in dates), tuple(tickers), values)
+    dates = sorted(set(parsed.values()))
+    tickers = tuple(dict.fromkeys(t for _, t in cells))  # in order of first appearance
+    row_start = {d: i * len(tickers) for i, d in enumerate(dates)}
+    column = {t: j for j, t in enumerate(tickers)}
+    at = np.fromiter((row_start[d] + column[t] for d, t in cells), np.intp, len(cells))
+    values = np.full(len(dates) * len(tickers), np.nan)
+    values[at] = np.fromiter(cells.values(), float, len(cells))
+    return ReturnPanel(tuple(d.isoformat() for d in dates), tickers, values.reshape(len(dates), -1))
 
 
 def log_returns(panel: ReturnPanel) -> ReturnPanel:

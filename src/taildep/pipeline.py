@@ -185,15 +185,10 @@ def cross_section(reports: list[PairReport]) -> dict:
 # -- run directory -----------------------------------------------------------
 
 
-def format_float(x: float) -> str:
-    """Shortest text that reads back as the same float; used for every CSV cell."""
-    return repr(float(x))
-
-
 def _row_texts(rows: np.ndarray, index: np.ndarray) -> list[str]:
     """The CSV cells of each window (or date) of an array held in runs: every
     row of ``rows`` is formatted once, and ``index`` gives each line's row."""
-    # tolist() gives Python floats, whose repr is format_float's text.
+    # tolist() gives Python floats, whose repr is the shortest text to read back.
     text = [",".join(map(repr, row)) for row in rows.tolist()]
     return [text[i] for i in index.tolist()]
 

@@ -8,8 +8,12 @@ numpy's ``log1p``, ``expm1`` and ``**`` on 1-D arrays of cells, since the
 ``math`` module's functions may round them differently.
 The package's one-curve functions are one-row calls of its batch kernels, so
 the tests check every kernel row against these functions instead, by ``==``.
+``long_prices`` reads a long price file cell by cell, as the loader's oracle.
 This file imports no kernel of the package; ``test_reference.py`` checks that.
 """
+
+import csv
+import datetime
 
 import numpy as np
 
@@ -152,3 +156,49 @@ def aggregate(values):
     q = {level: float(np.quantile(values, level, method="linear")) for level in (0.05, 0.10, 0.90, 0.95)}
     return {"q05": q[0.05], "q10": q[0.10], "mean": float(np.mean(values)),
             "median": float(np.median(values)), "q90": q[0.90], "q95": q[0.95]}
+
+
+def long_prices(path):
+    """Dates, tickers and (dates, tickers) prices of a long ``date,ticker,price``
+    CSV, cell by cell, or a ValueError with the loader's message.
+
+    Rows are checked in order: cell count, date, blank ticker, duplicate
+    (date, ticker), price.  Dates are sorted, tickers keep their order of
+    first appearance, absent cells are NaN, and a leading BOM is skipped.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise ValueError("empty CSV file")
+    if [h.strip().lower() for h in rows[0]] != ["date", "ticker", "price"]:
+        raise ValueError("long CSV header must be date,ticker,price")
+    cells, tickers = {}, []
+    for row_no, row in enumerate(rows[1:], start=2):
+        if len(row) != 3:
+            raise ValueError(f"row {row_no}: expected 3 cells, found {len(row)}")
+        try:
+            d = datetime.date.fromisoformat(row[0].strip())
+        except ValueError:
+            raise ValueError(f"row {row_no}: unparseable date {row[0]!r} (expected ISO YYYY-MM-DD)") from None
+        ticker = row[1].strip()
+        if not ticker:
+            raise ValueError(f"row {row_no}: empty ticker")
+        if (d, ticker) in cells:
+            raise ValueError(f"row {row_no}: duplicate observation for ({d}, {ticker})")
+        if ticker not in tickers:
+            tickers.append(ticker)
+        text = row[2].strip()
+        if text == "" or text.upper() in ("NAN", "NA"):
+            cells[(d, ticker)] = float("nan")
+        else:
+            try:
+                cells[(d, ticker)] = float(text)
+            except ValueError:
+                raise ValueError(f"row {row_no}: unparseable price {text!r}") from None
+    if not cells:
+        raise ValueError("no data rows")
+    dates = sorted({d for d, _ in cells})
+    values = np.full((len(dates), len(tickers)), np.nan)
+    for (d, ticker), price in cells.items():
+        values[dates.index(d), tickers.index(ticker)] = price
+    return tuple(d.isoformat() for d in dates), tuple(tickers), values

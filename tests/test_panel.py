@@ -1,8 +1,11 @@
 """CSV ingestion, log returns, summary statistics."""
 
+import contextlib
+import io
 import math
 
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import reference
+from taildep.cli import main
 from taildep.errors import DataError
 from taildep.panel import (
     CROSS_AGGS,
@@ -240,6 +244,108 @@ def test_wide_rejects_empty_ticker_names(tmp_path, header):
 def test_unknown_format_rejected(wide_csv):
     with pytest.raises(DataError):
         load_prices(wide_csv, fmt="tall")
+
+
+def test_byte_order_mark_is_skipped(tmp_path, wide_csv, long_csv):
+    # A spreadsheet's "CSV UTF-8" starts with a BOM; the long header must
+    # still read date,ticker,price.
+    for plain, fmt in ((wide_csv, "wide"), (long_csv, "long")):
+        marked = tmp_path / f"bom_{fmt}.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        expected = _outcome(partial(load_prices, fmt=fmt), plain)
+        assert expected[0] != "error"
+        assert _outcome(partial(load_prices, fmt=fmt), marked) == expected
+
+
+# ---------------------------------------------------------------------------
+# Long files
+# ---------------------------------------------------------------------------
+
+LONG_PRICES = st.one_of(
+    st.floats(min_value=0.01, max_value=1e4).map(repr),
+    st.sampled_from(["", "NA", " na ", "nan", "-nan", "NaN", " 1.5 ", "\t2", "1e500", "-0.0", "3"]),
+)
+# A defect row of each kind, from a date text and a ticker.
+LONG_DEFECTS = {
+    "cells": lambda d, t: f"{d},{t}",
+    "more cells": lambda d, t: f"{d},{t},1.0,2.0",
+    "date": lambda d, t: f"2020-13-01,{t},1.0",
+    "us date": lambda d, t: f"01/02/2020,{t},1.0",
+    "ticker": lambda d, t: f"{d}, ,1.0",
+    "price": lambda d, t: f"{d},{t},abc",
+    "empty row": lambda d, t: "",
+}
+
+
+@st.composite
+def long_files(draw):
+    """A long price file's text: shuffled rows, missing rows, NA, blank and
+    nan cells, padded date and ticker texts, tickers that list late, and 0-2
+    defect rows (a duplicate of a row among them) at random places."""
+    n_dates, n_tickers = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    days = sorted(draw(st.lists(st.integers(1, 28), min_size=n_dates, max_size=n_dates, unique=True)))
+    pad = st.sampled_from(["", "", " ", "\t", "  "])
+    rows = []
+    for j in range(n_tickers):
+        listed = draw(st.integers(0, n_dates - 1))  # the ticker's first date
+        for day in days[listed:]:
+            if draw(st.integers(0, 4)):  # a fifth of the rows are missing
+                rows.append(f"{draw(pad)}2020-02-{day:02d}{draw(pad)},{draw(pad)}T{j}{draw(pad)},"
+                            f"{draw(LONG_PRICES)}")
+    cells = draw(st.permutations(rows))
+    rows = list(cells)
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(sorted(LONG_DEFECTS) + ["duplicate"]))
+        if kind == "duplicate" and cells:  # the same cell, with a padded date text
+            d, t, _ = draw(st.sampled_from(cells)).split(",")
+            row = f" {d.strip()} ,{t},2.0"
+        else:  # with no row to repeat, a duplicate becomes a blank ticker
+            row = LONG_DEFECTS.get(kind, LONG_DEFECTS["ticker"])(
+                f"2020-02-{draw(st.sampled_from(days)):02d}", f"T{draw(st.integers(0, n_tickers))}")
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    header = draw(st.sampled_from(["date,ticker,price", " Date,TICKER ,price", "date,ticker,price",
+                                   "date,ticker"]))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return bom + newline.join([header, *rows]) + draw(st.sampled_from(["", newline]))
+
+
+def _long_oracle(path):
+    try:
+        dates, tickers, values = reference.long_prices(path)
+    except ValueError as exc:
+        return "error", str(exc)
+    return dates, tickers, values.tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=long_files())
+def test_long_reader_equals_cell_by_cell_oracle(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "prices.csv"
+        path.write_bytes(text.encode())
+        assert _outcome(partial(load_prices, fmt="long"), path) == _long_oracle(path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=long_files())
+def test_long_ingest_exits_0_or_2_with_one_error_line(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "prices.csv", Path(tmp) / "returns.csv"
+        path.write_bytes(text.encode())
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            status = main(["ingest", "--format", "long", "--prices", str(path), "--out", str(out)])
+        if status == 2:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+            return
+        assert status == 0 and err.getvalue() == ""
+        # Each cell is its return's repr, and a NaN return leaves it blank.
+        returns = log_returns(ReturnPanel(*reference.long_prices(path)))
+        lines = [",".join(["date", *returns.tickers])]
+        lines += [",".join([d, *("" if math.isnan(v) else repr(v) for v in row)])
+                  for d, row in zip(returns.dates, returns.values.tolist())]
+        assert out.read_bytes().decode() == "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
