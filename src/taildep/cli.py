@@ -202,6 +202,8 @@ def _cmd_envelope(args) -> None:
     pins = [(0.5, args.tdc / 2.0)]
     if args.measure.partition(":")[0] not in ("l1", "point"):
         raise TailDepError("--measure must be linf, l1, or point:<s0>")
+    if args.grid < 2 or args.grid % 2:
+        raise TailDepError("--grid must be an even integer >= 2: the coefficient pins s = 1/2")
     key, s0 = meas.parse_measure(args.measure)
     result = measure_range(pins, meas.MEASURES[key].name, grid_size=args.grid, s0=s0,
                            normalization=args.normalization)

@@ -75,11 +75,10 @@ def _grid_index(s: float, m: int) -> int:
     return i
 
 
-def _pin_indices(pins, m: int) -> list[tuple[int, float]]:
+def _pin_indices(pins, m: int) -> dict[int, float]:
     if m < 2:
         raise ParameterError("grid_size must be >= 2")
-    out = []
-    seen = set()
+    out = {}
     for s, value in pins:
         i = _grid_index(s, m)
         bound = min(i, m - i) / m
@@ -87,15 +86,14 @@ def _pin_indices(pins, m: int) -> list[tuple[int, float]]:
             raise InfeasibleError(
                 f"pin ({s}, {value}) violates the admissible bound {bound:.6g}"
             )
-        if i in seen:
+        if i in out:
             raise ParameterError(f"duplicate pin at grid point {s}")
-        seen.add(i)
-        out.append((i, float(value)))
+        out[i] = float(value) + 0.0  # a -0.0 pin reads as 0.0
     return out
 
 
 def _as_tdf(x: np.ndarray, m: int) -> TailDependenceFunction:
-    snap_rows(x, upper_bound(m))  # in place; a curve snapped twice is snapped once
+    snap_rows(x, upper_bound(m))  # in place, so x is never the shared bound; a second snap is a no-op
     try:
         return from_grid(x, enforce_concavity=True)
     except ParameterError as exc:
@@ -104,48 +102,48 @@ def _as_tdf(x: np.ndarray, m: int) -> TailDependenceFunction:
 
 def _envelopes(pins, m: int):
     """Anchors (pins plus zero endpoints) as grid indices and values, their
-    interpolant (the pointwise smallest admissible curve) and the upper
-    envelope.  InfeasibleError unless the slope between anchors rises by at
-    most ``from_grid``'s concavity tolerance per grid step."""
-    points = {0: 0.0, m: 0.0}
-    points.update(_pin_indices(pins, m))
-    idx = np.array(sorted(points))
-    val = np.array([points[i] for i in idx])
-    rise = np.diff(np.diff(val) / np.diff(idx))
+    chord slopes per grid step and their interpolant (the pointwise smallest
+    admissible curve): ``_upper_envelope``'s arguments.  InfeasibleError unless
+    the slope rises by at most ``from_grid``'s concavity tolerance per grid step."""
+    points = {0: 0.0, m: 0.0} | _pin_indices(pins, m)
+    idx, val = map(np.array, zip(*sorted(points.items())))
+    slope = (val[1:] - val[:-1]) / (idx[1:] - idx[:-1])
+    rise = slope[1:] - slope[:-1]
     if rise.size and rise.max() > CONCAVITY_TOL:
-        k = int(np.argmax(rise))
+        k = int(rise.argmax())
         raise InfeasibleError(
             f"pins are not jointly concave: the slope rises by {rise[k]:.3e} "
             f"per grid step at s = {idx[k + 1] / m:.6g}"
         )
-    lower = np.interp(np.arange(m + 1), idx, val)
-    return idx, val, lower, _upper_envelope(idx, val, lower)
+    return idx, val, slope, np.interp(np.arange(m + 1), idx, val)
 
 
-def _upper_envelope(idx: np.ndarray, val: np.ndarray, lower: np.ndarray) -> np.ndarray:
+def _upper_envelope(idx: np.ndarray, val: np.ndarray, slope: np.ndarray, lower: np.ndarray) -> np.ndarray:
     """Pointwise largest admissible value at each grid point.
 
     Between anchors k and k + 1 an admissible curve lies under min(s, 1 - s) and
     under the chords of the intervals before and after, extended; the tent
     through the anchors and that point attains the bound.  Clamping at the
     interpolant ``lower`` keeps that tent concave when the anchors are concave
-    only within tolerance.
+    only within tolerance.  The bound is 0 at both ends, which keeps ``lower``;
+    inside, no missing line (slope +-inf) meets its own anchor, so no inf * 0.
     """
-    i = np.arange(lower.size)
-    k = np.minimum(np.searchsorted(idx, i, side="right") - 1, idx.size - 2)
-    slope = np.concatenate([[np.inf], np.diff(val) / np.diff(idx), [-np.inf]])
-    with np.errstate(invalid="ignore"):  # inf * 0 at the end anchors; fmin skips the NaN
-        left = val[k] + slope[k] * (i - idx[k])
-        right = val[k + 1] - slope[k + 2] * (idx[k + 1] - i)
-    return np.fmax(lower, np.fmin(upper_bound(lower.size - 1), np.fmin(left, right)))
+    i = np.arange(1, lower.size - 1)
+    k = idx.searchsorted(i, "right") - 1  # i in [idx[k], idx[k + 1])
+    ext = np.concatenate(([np.inf], slope, [-np.inf]))
+    left = val[k] + ext[k] * (i - idx[k])
+    right = val[1:][k] - ext[2:][k] * (idx[1:][k] - i)
+    upper = lower.copy()
+    np.fmax(lower[1:-1], np.fmin(upper_bound(lower.size - 1)[1:-1], np.fmin(left, right)), out=upper[1:-1])
+    return upper
 
 
 def _tent(idx: np.ndarray, val: np.ndarray, i: int, value: float, lower: np.ndarray) -> np.ndarray:
     """Interpolant of the anchors plus the point (i, value): ``lower`` redrawn
     on the anchor interval around i (``np.interp`` reads one interval per point)."""
-    if np.any(idx == i):
+    j = int(idx.searchsorted(i))
+    if idx[j] == i:
         return lower
-    j = int(np.searchsorted(idx, i))
     a, b = idx[j - 1], idx[j]
     tent = lower.copy()
     tent[a:b + 1] = np.interp(np.arange(a, b + 1), (a, i, b), (val[j - 1], value, val[j]))
@@ -162,30 +160,35 @@ def _end_sum(phi, slope, w):
     of max_y G(y) - pi y, and G's kinks from 0 to inf; G's slope after kinks[j] is S[-j - 1]."""
     pos = phi > 0.0
     y = phi[pos] / slope[pos]
-    order = np.argsort(y, kind="stable")
-    S = np.concatenate([[0.0], np.cumsum((w * slope)[pos][order][::-1])])
-    e = w[~pos] @ phi[~pos] + np.concatenate([[0.0], np.cumsum((w * phi)[pos][order])])
+    order = y.argsort(kind="stable")
+    S = np.concatenate(([0.0], (w * slope)[pos][order][::-1].cumsum()))
+    e = w[~pos] @ phi[~pos] + np.concatenate(([0.0], (w * phi)[pos][order].cumsum()))
     return S, e[::-1], np.concatenate([[0.0], y[order], [np.inf]])
 
 
 def _argmax_range(S, kinks, pi):
     """The y where G's slope passes pi, within SLOPE_TOL (a slope test: near-flat pieces are long)."""
-    return (kinks[S.size - np.searchsorted(S, pi + SLOPE_TOL, "right")],
-            kinks[S.size - np.searchsorted(S, pi - SLOPE_TOL, "left")])
+    return (kinks[S.size - S.searchsorted(pi + SLOPE_TOL, "right")],
+            kinks[S.size - S.searchsorted(pi - SLOPE_TOL, "left")])
 
 
 def _ratio_range(A, B, a, b):
     """alpha / beta where a alpha + b beta - min_c (A_c alpha + B_c beta) <= SLOPE_TOL
     (alpha + beta): the widened normal cone at (a, b); (inf, 0) if only zero is left."""
     u, v = a - A - SLOPE_TOL, b - B - SLOPE_TOL
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = -v / u
-    r_lo = np.max(np.where(u < 0.0, r, np.where(v > 0.0, np.inf, 0.0))[u <= 0.0], initial=0.0)
-    r_hi = np.min(r[u > 0.0], initial=np.inf)
+    neg, pos = u < 0.0, u > 0.0
+    r_lo = (-v[neg] / u[neg]).max(initial=np.inf if (v[u == 0.0] > 0.0).any() else 0.0)
+    r_hi = (-v[pos] / u[pos]).min(initial=np.inf)
     return (float(r_lo), float(r_hi)) if r_lo <= r_hi else (np.inf, 0.0)
 
 
-def _weighted_sum_max(idx: np.ndarray, val: np.ndarray, w: np.ndarray):
+def _unique(x: np.ndarray) -> np.ndarray:
+    """``np.unique(x)`` for x without NaN: its sort, then each run's first (0.0 or -0.0 too)."""
+    x = np.sort(x)
+    return np.concatenate((x[:1], x[1:][x[1:] != x[:-1]]))
+
+
+def _weighted_sum_max(idx: np.ndarray, val: np.ndarray, slope: np.ndarray, w: np.ndarray):
     """Maximum of ``w @ x`` (w >= 0) over admissible curves through the
     anchors, and a curve attaining it.
 
@@ -209,35 +212,35 @@ def _weighted_sum_max(idx: np.ndarray, val: np.ndarray, w: np.ndarray):
     m = w.size - 1
     p = idx.size - 2  # interior anchors, one budget each
     if p == 0:  # F itself
-        return float(w @ upper_bound(m)), upper_bound(m)
-    chord = np.diff(val) / np.diff(idx) * m  # per unit s
+        return float(w @ upper_bound(m)), upper_bound(m).copy()
+    chord = slope * m  # per unit s
     # Right of an anchor the line rises by the slope rise the slope test
     # tolerates, so near-tolerance anchors keep both sides on their chords.
     rise = np.maximum(chord[1:] - chord[:-1], 0.0)
     budget = np.maximum(chord[:-1] - chord[1:], 0.0)
-    i = np.setdiff1d(np.arange(m + 1), idx)  # grid points strictly inside an interval
-    k = np.searchsorted(idx, i) - 1
+    i = np.delete(np.arange(m + 1), idx)  # grid points strictly inside an interval
+    k = idx.searchsorted(i) - 1
     dl, dr = (i - idx[k]) / m, (i - idx[k + 1]) / m  # offsets from both anchors
     wi, bound = w[i], upper_bound(m)[i]
     chord_x = val[k] + chord[k] * dl
-    seg = np.searchsorted(k, np.arange(p + 2))
+    seg = k.searchsorted(np.arange(p + 2))
     first, last = slice(seg[0], seg[1]), slice(seg[p], seg[p + 1])
     S0, e0, kinks0 = _end_sum((bound - chord_x)[first], -dr[first], wi[first])
     Sp, ep, kinksp = _end_sum((bound - chord_x)[last], dl[last], wi[last])
     xs, ys, stages = S0, budget[0] * S0 + e0, []
     for j in range(1, p):  # middle interval j, from anchor j to j + 1
         s = slice(seg[j], seg[j + 1])
-        A = np.concatenate([[0.0], np.cumsum(wi[s] * dl[s])])
-        B = np.concatenate([np.cumsum(-(wi[s] * dr[s])[::-1])[::-1], [0.0]])
-        star = xs[np.argmin(ys)]
-        pis = np.unique(np.concatenate([np.interp(xs[xs >= star], A, B), B[B < np.interp(star, A, B)]]))
+        A = np.concatenate(([0.0], (wi[s] * dl[s]).cumsum()))
+        B = np.concatenate(((-(wi[s] * dr[s])[::-1]).cumsum()[::-1], [0.0]))
+        star = xs[ys.argmin()]
+        pis = _unique(np.concatenate((np.interp(xs[xs >= star], A, B), B[B < np.interp(star, A, B)])))
         ys = budget[j] * pis + _pl(xs, ys, budget[j - 1], np.maximum(np.interp(pis, B[::-1], A[::-1]), star))
         xs = pis
         stages.append((A, B, star))
-    pis = np.unique(np.concatenate([xs, Sp]))
+    pis = _unique(np.concatenate((xs, Sp)))
     total = _pl(xs, ys, budget[-1], pis) + np.interp(pis, Sp, ep)
     dual = float(w[idx] @ val + wi @ chord_x + total.min())
-    pi = [pis[np.argmin(total)]]
+    pi = [pis[total.argmin()]]
     for A, B, star in stages[::-1]:
         pi.append(max(np.interp(pi[-1], B[::-1], A[::-1]), star))
     pi = [float(v) for v in pi[::-1]]  # pi[j] prices budget[j]
@@ -303,15 +306,16 @@ def measure_range(
         raise ParameterError("point_eval has no doubled form")
     if measure == POINT_EVAL and s0 is None:
         raise ParameterError("point_eval needs s0")
-    idx, val, lower, upper = _envelopes(pins, m)
+    idx, val, slope, lower = env = _envelopes(pins, m)
     if measure == AVG_TD:
         c = np.full(m + 1, 1.0 / m)
         c[0] = c[-1] = 0.5 / m
         min_value = float(c @ lower)
-        max_value, x = _weighted_sum_max(idx, val, c)
+        max_value, x = _weighted_sum_max(idx, val, slope, c)
         argmax = _as_tdf(x, m)
     else:
-        top = int(np.argmax(upper)) if measure == MAX_TD else _grid_index(s0, m)
+        upper = _upper_envelope(*env)
+        top = int(upper.argmax()) if measure == MAX_TD else _grid_index(s0, m)
         min_value = float(lower.max() if measure == MAX_TD else lower[top])
         max_value = float(upper[top])
         argmax = _as_tdf(_tent(idx, val, top, max_value, lower), m)
@@ -332,6 +336,7 @@ def linf_range_given_tdc(lam, normalization: str = RAW) -> tuple:
     """
     if not np.all((lam >= 0.0) & (lam <= 1.0)):
         raise ParameterError("tail dependence coefficient must lie in [0, 1]")
+    lam = lam + 0.0  # a -0.0 coefficient reads as 0.0
     scale = scale_factor(normalization)
     return scale * lam / 2.0, scale * lam / (1.0 + lam)
 
@@ -349,7 +354,8 @@ def random_feasible(
     (pins, grid_size, seed) and meets every pin exactly.
     """
     m = grid_size
-    idx, val, lower, upper = _envelopes(pins, m)
+    idx, val, _, lower = env = _envelopes(pins, m)
+    upper = _upper_envelope(*env)
     rng = SplitMix64(seed)
     tents = []
     for _ in range(N_MIX):

@@ -18,6 +18,7 @@ constraint.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from enum import Enum
@@ -108,10 +109,13 @@ class TailDependenceFunction:
         return from_grid(values, enforce_concavity=(kind is TDFKind.VALIDATED))
 
 
+@functools.lru_cache(maxsize=8)
 def upper_bound(m: int) -> np.ndarray:
-    """The admissible bound min(s, 1 - s) on the m-grid."""
+    """The admissible bound min(s, 1 - s) on the m-grid; one read-only array per m."""
     s = np.arange(m + 1) / m
-    return np.minimum(s, 1.0 - s)
+    bound = np.minimum(s, 1.0 - s)
+    bound.setflags(write=False)
+    return bound
 
 
 def from_grid(values, enforce_concavity: bool = True) -> TailDependenceFunction:
@@ -129,7 +133,7 @@ def from_grid(values, enforce_concavity: bool = True) -> TailDependenceFunction:
     v = np.array(values, dtype=float)  # a copy: snapped in place below
     if v.ndim != 1 or v.size < 3:
         raise ParameterError("grid needs at least 3 values on one axis")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ParameterError("grid values must be finite")
     m = v.size - 1
     bound = upper_bound(m)
@@ -146,7 +150,7 @@ def from_grid(values, enforce_concavity: bool = True) -> TailDependenceFunction:
 def snap_rows(values: np.ndarray, bound: np.ndarray) -> None:
     """The one snap onto the admissible bounds, in place along the last axis:
     clip to [0, bound] (``upper_bound`` of the grid), both ends exactly 0.0."""
-    np.clip(values, 0.0, bound, out=values)
+    values.clip(0.0, bound, out=values)
     values[..., 0] = 0.0
     values[..., -1] = 0.0
 

@@ -195,6 +195,23 @@ def test_envelope_unusable_point_exits_2(measure, capsys):
         assert "--measure must be linf, l1, or point:<s0>" in captured.err
 
 
+@pytest.mark.parametrize("measure", ["l1", "point:0.25"])
+def test_envelope_odd_grid_exits_2_naming_the_grid(measure, capsys):
+    assert main(["envelope", "--tdc", "0.5", "--measure", measure, "--grid", "7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --grid must be an even integer >= 2: the coefficient pins s = 1/2\n"
+    # linf is a closed form: it reads no grid.
+    assert main(["envelope", "--tdc", "0.5", "--measure", "linf", "--grid", "7"]) == 0
+
+
+@pytest.mark.parametrize("measure", ["linf", "l1", "point:0.5"])
+def test_envelope_negative_zero_coefficient_prints_zero(measure, capsys):
+    assert main(["envelope", "--tdc", "-0.0", "--measure", measure, "--grid", "4"]) == 0
+    out = capsys.readouterr().out
+    assert '"min": 0.0,' in out and '"max": 0.0,' in out
+
+
 def test_missing_input_files_exit_2(tmp_path, capsys):
     curve, prices = tmp_path / "absent.json", tmp_path / "absent.csv"
     for argv, path in (

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import taildep.envelope
 from taildep.envelope import (
@@ -138,6 +139,14 @@ def test_linf_range_degenerate_ends():
     assert lo == pytest.approx(0.5) and hi == pytest.approx(0.5)
 
 
+def test_negative_zero_pin_or_coefficient_reads_as_zero():
+    for measure in ("max_td", "avg_td", "point_eval"):
+        res = measure_range(((0.5, -0.0),), measure, grid_size=10, s0=0.5)
+        assert not np.signbit([res.min_value, res.max_value]).any(), measure
+    assert not np.signbit(linf_range_given_tdc(-0.0)).any()
+    assert not np.signbit(linf_range_given_tdc(np.array([-0.0, 0.5]))).any()
+
+
 def test_linf_band_width_peaks_near_sqrt2_minus_1():
     # doubled width lam mapsto 2 lam / (1 + lam) - lam maximizes at sqrt(2) - 1
     lams = np.linspace(0.01, 0.99, 981)
@@ -204,3 +213,11 @@ def test_envelope_result_dict():
     assert d["pins"] == [[0.5, 0.25]]
     assert d["min"] <= d["max"]
     assert d["resolution"] == pytest.approx(2.0 / 50.0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, np.inf, -np.inf, 1e-300]), max_size=40))
+def test_unique_matches_numpy_byte_for_byte(values):
+    # Ties, 0.0 against -0.0 (which one numpy keeps rests on its sort) and +-inf.
+    x = np.array(values, dtype=float)
+    assert taildep.envelope._unique(x).tobytes() == np.unique(x).tobytes()

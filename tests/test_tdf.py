@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from taildep.envelope import measure_range
 from taildep.errors import DomainError, ParameterError
 from taildep.tdf import (
     BOUND_TOL,
@@ -143,6 +144,20 @@ def test_snap_rows_clips_in_place_and_zeroes_both_ends():
     expected = from_grid(vals).values
     snap_rows(vals, upper_bound(4))
     assert vals.tobytes() == expected.tobytes()
+
+
+def test_upper_bound_is_one_read_only_array_per_grid_size():
+    m = 26
+    bound = upper_bound(m)
+    assert upper_bound(m) is bound
+    with pytest.raises(ValueError):
+        bound[1] = 1.0
+    # The avg_td maximum without interior pins is the bound itself; the curve
+    # it returns is snapped in place, so it must be a copy.
+    for _ in range(2):
+        measure_range((), "avg_td", grid_size=m)
+    s = np.arange(m + 1) / m
+    assert bound.tobytes() == np.minimum(s, 1.0 - s).tobytes()
 
 
 def test_from_grid_rejects_bad_preconditions():
