@@ -3,8 +3,8 @@
 The core object is a concave function on [0, 1] with zero endpoints, bounded
 by min(s, 1 - s), stored on a uniform grid with piecewise-linear
 interpolation.  Submodules add monotone scalar measures, a pointwise
-preorder, a rank-based estimator with rolling windows, feasible-range linear
-programs, deterministic copula samplers, and a CSV-to-report pipeline.
+preorder, a rank-based estimator with rolling windows, feasible-range
+envelopes, deterministic copula samplers, and a CSV-to-report pipeline.
 """
 
 __version__ = "0.1.0"

@@ -195,7 +195,7 @@ def _cmd_envelope(args) -> None:
     if args.measure == "linf":
         # exact band, no grid involved
         lo, hi = linf_range_given_tdc(args.tdc, normalization=args.normalization)
-        _write_json({"measure": "linf", "tdc": args.tdc,
+        _write_json({"measure": "linf", "tdc": args.tdc + 0.0,  # -0.0 reads as 0.0
                      "normalization": args.normalization,
                      "min": lo, "max": hi, "exact": True}, args.out)
         return
@@ -264,7 +264,7 @@ def _cmd_report(args) -> None:
     if len(used) < len(returns.tickers):
         returns = ReturnPanel(returns.dates, tuple(used),
                               np.column_stack([returns.column(t) for t in used]))
-    write_run(args.out_dir, reports, cross, manifest, stats=summary_stats(returns))
+    write_run(args.out_dir, returns.dates, reports, cross, manifest, stats=summary_stats(returns))
     print(f"wrote run directory {args.out_dir}: {len(reports)} pairs")
 
 

@@ -320,7 +320,7 @@ def measure_range(
         max_value = float(upper[top])
         argmax = _as_tdf(_tent(idx, val, top, max_value, lower), m)
 
-    return EnvelopeResult(measure, normalization, m, tuple((float(a), float(b)) for a, b in pins),
+    return EnvelopeResult(measure, normalization, m, tuple((float(a), float(b) + 0.0) for a, b in pins),
                           scale * min_value, scale * max_value, _as_tdf(lower, m), argmax,
                           resolution=2.0 / m)
 

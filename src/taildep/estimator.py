@@ -95,7 +95,7 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.k is not None and (not isinstance(self.k, (int, np.integer)) or self.k < 1):
             raise ConfigError("k must be a positive integer or None")
-        if self.grid_size < 2 or self.grid_size % 2 != 0:
+        if not isinstance(self.grid_size, (int, np.integer)) or self.grid_size < 2 or self.grid_size % 2:
             raise ConfigError("grid_size must be an even integer >= 2")
         if self.tail not in (LOWER, UPPER):
             raise ConfigError(f"tail must be {LOWER!r} or {UPPER!r}")

@@ -73,7 +73,7 @@ class PairReport:
     other: str
     measure_names: tuple[str, ...]
     starts: np.ndarray = field(repr=False)  # (windows,) first row of each window
-    end_dates: tuple[str, ...] = field(repr=False)
+    ends: np.ndarray = field(repr=False)  # (windows,) last row, starts + window - 1
     values: np.ndarray = field(repr=False)  # (runs, measures), columns as measure_names
     linf_bounds: np.ndarray = field(repr=False)  # (runs, 2): feasible linf range
     index: np.ndarray = field(repr=False)  # (windows,) run of each window
@@ -119,8 +119,7 @@ def run_pairs(
     # The band's coefficient is the last column; tdc takes no scale.
     measured = meas.measure_rows(rows, (*names, "tdc"), config.normalization)
     bands = np.column_stack(linf_range_given_tdc(measured[:, -1], config.normalization))
-    dates = np.array(panel.dates, dtype=object)
-    return [PairReport(base, other, names, starts, tuple(dates[starts + config.window - 1]),
+    return [PairReport(base, other, names, starts, starts + config.window - 1,
                        measured[runs, :-1], bands[runs], index, skipped)
             for other, (runs, starts, index, skipped) in zip(others, estimates)]
 
@@ -150,24 +149,24 @@ def run_pair(
 def cross_section(reports: list[PairReport]) -> dict:
     """Aggregate pair reports across pairs.
 
-    Per window date and measure: cross-pair statistics, a (date-runs,
+    Per window end and measure: cross-pair statistics, a (date-runs,
     CROSS_STATS) array, one row per run of dates on which no pair's run index
     changes; ``index`` gives each date's row.  Per measure: each pair's
     time-series statistic, aggregated across pairs (the summary table).  All
-    reports must share identical window dates.
+    reports must come from one panel and share identical window ``ends``.
     """
     if not reports:
         raise DataError("no pair reports to aggregate")
-    dates = reports[0].end_dates
+    ends = reports[0].ends
     for rep in reports[1:]:
-        if rep.end_dates != dates:
+        if not np.array_equal(rep.ends, ends):
             raise DataError(
                 f"pair ({rep.base}, {rep.other}) has mismatched window dates; "
                 "cannot align the cross-section"
             )
     names = reports[0].measure_names
     # A date starts a run where some pair's window starts a run.
-    new = np.ones(len(dates), dtype=bool)
+    new = np.ones(len(ends), dtype=bool)
     new[1:] = np.any([np.diff(rep.index) > 0 for rep in reports], axis=0)
     first, index = np.flatnonzero(new), np.cumsum(new) - 1
     per_date = {}
@@ -179,7 +178,7 @@ def cross_section(reports: list[PairReport]) -> dict:
     # The summary table: every (measure, statistic) row aggregated in one call.
     aggs = iter(aggregate_rows(np.concatenate(series)).tolist())
     table = {name: {label: dict(zip(TABLE_AGGS, next(aggs))) for label in TABLE_STATS} for name in names}
-    return {"dates": list(dates), "index": index, "per_date": per_date, "table": table}
+    return {"ends": ends, "index": index, "per_date": per_date, "table": table}
 
 
 # -- run directory -----------------------------------------------------------
@@ -195,14 +194,15 @@ def _row_texts(rows: np.ndarray, index: np.ndarray) -> list[str]:
 
 def write_run(
     out_dir,
+    dates,
     reports: list[PairReport],
     cross: dict | None,
     manifest: dict,
     stats: dict | None = None,
 ) -> None:
-    """Write a run directory: manifest.json, per-pair CSVs, cross-section files;
-    CSV cells are formatted once per row of the reports' and the
-    cross-section's per-run arrays (``_row_texts``)."""
+    """Write a run directory: manifest.json, per-pair CSVs, cross-section files.
+    CSV cells are formatted once per run (``_row_texts``); a window end becomes
+    text only here, as ``dates[end]`` of the panel's ``dates``."""
     out = Path(out_dir)
     (out / "pairs").mkdir(parents=True, exist_ok=True)
     with open(out / "manifest.json", "w", encoding="utf-8") as fh:
@@ -218,8 +218,8 @@ def write_run(
             header = ["start", "end_date", *rep.measure_names, "linf_lo", "linf_hi"]
             fh.write(",".join(header) + "\n")
             text = _row_texts(np.column_stack([rep.values, rep.linf_bounds]), rep.index)
-            fh.writelines(f"{start},{end_date},{cells}\n"
-                          for start, end_date, cells in zip(rep.starts.tolist(), rep.end_dates, text))
+            fh.writelines(f"{start},{dates[end]},{cells}\n"
+                          for start, end, cells in zip(rep.starts.tolist(), rep.ends.tolist(), text))
     if cross is not None:
         cs_dir = out / "cross_section"
         cs_dir.mkdir(parents=True, exist_ok=True)
@@ -227,7 +227,7 @@ def write_run(
             with open(cs_dir / f"{name}.csv", "w", encoding="utf-8", newline="") as fh:
                 fh.write("end_date," + ",".join(CROSS_STATS) + "\n")
                 text = _row_texts(rows, cross["index"])
-                fh.writelines(f"{d},{cells}\n" for d, cells in zip(cross["dates"], text))
+                fh.writelines(f"{dates[end]},{cells}\n" for end, cells in zip(cross["ends"].tolist(), text))
         with open(cs_dir / "summary.json", "w", encoding="utf-8") as fh:
             json.dump(cross["table"], fh, indent=2, sort_keys=True)
             fh.write("\n")

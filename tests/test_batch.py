@@ -7,6 +7,8 @@ the reference statistics of that date's column.  The public one-curve
 functions are one-row calls of the kernels and are checked the same way.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -114,21 +116,27 @@ def test_batched_report_equals_reference_composition(case):
                 curve = reference.projection(curve)
             run = rep.index[j]
             assert np.array_equal(rows[run], curve)
-            assert rep.end_dates[j] == panel.dates[stop - 1]
+            assert rep.ends[j] == stop - 1
             for col, name in enumerate(NAMES):
                 value = reference.measure(curve, name, config.normalization)
                 assert rep.values[run, col] == value and per_window[j, col] == value, name
             band = reference.band(reference.measure(curve, "tdc"), config.normalization)
             assert tuple(rep.linf_bounds[run]) == band
 
-    if reports and all(rep.end_dates == reports[0].end_dates for rep in reports):
-        if not reports[0].end_dates:  # every window skipped
-            with pytest.raises(DataError):
-                cross_section(reports)
-            return
+    if not reports:
+        return
+    mismatched = [rep for rep in reports if not np.array_equal(rep.ends, reports[0].ends)]
+    if mismatched:  # holes split the pairs' windows: the first such pair is named
+        message = f"pair ({mismatched[0].base}, {mismatched[0].other}) has mismatched window dates"
+        with pytest.raises(DataError, match=re.escape(message)):
+            cross_section(reports)
+    elif not len(reports[0].ends):  # every window skipped
+        with pytest.raises(DataError):
+            cross_section(reports)
+    else:
         cross = cross_section(reports)
         index = cross["index"]
-        assert len(index) == len(reports[0].end_dates) and index[0] == 0
+        assert len(index) == len(reports[0].ends) and index[0] == 0
         assert set(np.diff(index).tolist()) <= {0, 1}
         for col, name in enumerate(NAMES):
             assert len(cross["per_date"][name]) == index[-1] + 1

@@ -212,6 +212,14 @@ def test_envelope_negative_zero_coefficient_prints_zero(measure, capsys):
     assert '"min": 0.0,' in out and '"max": 0.0,' in out
 
 
+@pytest.mark.parametrize("measure", ["linf", "point:0.5"])
+def test_envelope_negative_zero_coefficient_echoes_zero(measure, capsys):
+    assert main(["envelope", "--tdc", "-0.0", "--measure", measure, "--grid", "4"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    value = out["tdc"] if measure == "linf" else out["pins"][0][1]  # the echoed coefficient
+    assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
 def test_missing_input_files_exit_2(tmp_path, capsys):
     curve, prices = tmp_path / "absent.json", tmp_path / "absent.csv"
     for argv, path in (

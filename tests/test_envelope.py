@@ -89,6 +89,11 @@ def test_degenerate_pins_collapse_range():
     assert full.max_value == pytest.approx(0.5, abs=1e-9)
 
 
+def test_negative_zero_pin_is_held_as_zero():
+    (pin,) = measure_range(((0.5, -0.0),), "max_td", grid_size=4).pins
+    assert pin == (0.5, 0.0) and np.copysign(1.0, pin[1]) == 1.0
+
+
 def test_no_pins_recovers_frechet_extremes():
     res = measure_range([], "max_td", grid_size=60)
     assert res.min_value == pytest.approx(0.0, abs=1e-12)

@@ -116,6 +116,12 @@ def test_config_validation():
         EstimatorConfig(k=50).resolve_k(20)  # k beyond the sample
 
 
+@pytest.mark.parametrize("grid_size", [10.0, np.float64(10.0), "10"], ids=["float", "numpy_float", "str"])
+def test_non_integer_grid_size_is_a_config_error(grid_size):
+    with pytest.raises(ConfigError, match="grid_size must be an even integer >= 2"):
+        EstimatorConfig(grid_size=grid_size)
+
+
 # ---------------------------------------------------------------------------
 # Rolling windows
 # ---------------------------------------------------------------------------

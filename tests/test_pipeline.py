@@ -42,8 +42,8 @@ def test_run_pair_window_layout():
     rep = run_pair(toy_panel(), "BASE", "A", CFG)
     assert rep.base == "BASE" and rep.other == "A"
     assert rep.starts.tolist() == [0, 50, 100, 150, 200]
-    # window end date is the last row inside the window
-    assert rep.end_dates[0] == toy_panel().dates[99]
+    # a window ends at its last row, whose date the writer prints
+    assert rep.ends.tolist() == [99, 149, 199, 249, 299]
     assert rep.skipped == ()
 
 
@@ -239,7 +239,7 @@ def test_cross_section_layout():
     panel = toy_panel()
     reports = [run_pair(panel, "BASE", t, CFG) for t in ("A", "B")]
     cross = cross_section(reports)
-    assert cross["dates"] == list(reports[0].end_dates)
+    assert np.array_equal(cross["ends"], reports[0].ends)
     row = dict(zip(CROSS_STATS, cross["per_date"]["tdc"][cross["index"][0]]))
     vals = [rep.value("tdc")[0] for rep in reports]
     assert row["mean"] == pytest.approx(np.mean(vals))
@@ -290,7 +290,7 @@ def test_write_run_files(tmp_path):
     panel = toy_panel()
     reports = [run_pair(panel, "BASE", t, CFG) for t in ("A", "B")]
     cross = cross_section(reports)
-    write_run(tmp_path / "run", reports, cross, manifest={"window": 100})
+    write_run(tmp_path / "run", panel.dates, reports, cross, manifest={"window": 100})
 
     root = tmp_path / "run"
     assert (root / "manifest.json").exists()
@@ -324,12 +324,11 @@ def test_write_run_formats_text_once_per_run(tmp_path):
                        [0.0, 0.0], [0.0, 0.0], [0.0, -0.0]])
     index = np.array([0, 1, 2, 3, 4, 4, 5, 6])
     n = len(index)
-    rep = PairReport("BASE", "A", ("tdc", "linf"), np.arange(n), tuple(f"d{i}" for i in range(n)),
-                     values, bounds, index, ())
+    rep = PairReport("BASE", "A", ("tdc", "linf"), np.arange(n), np.arange(n), values, bounds, index, ())
     per_date = np.repeat(values[:, :1], len(CROSS_STATS), axis=1)
     per_date[:, -1] = values[:, 1]
-    cross = {"dates": list(rep.end_dates), "index": index, "per_date": {"tdc": per_date}, "table": {}}
-    write_run(tmp_path, [rep], cross, manifest={})
+    cross = {"ends": rep.ends, "index": index, "per_date": {"tdc": per_date}, "table": {}}
+    write_run(tmp_path, tuple(f"d{i}" for i in range(n)), [rep], cross, manifest={})
     assert (tmp_path / "pairs" / "BASE_A.csv").read_text() == (
         "start,end_date,tdc,linf,linf_lo,linf_hi\n"
         "0,d0,0.5,0.0,0.0,1.0\n"
@@ -352,3 +351,34 @@ def test_write_run_formats_text_once_per_run(tmp_path):
         "d6,0.1,0.1,0.1,0.1,0.1,0.1,0.2\n"
         "d7,0.1,0.1,0.1,0.1,0.1,0.1,0.2\n"
     )
+
+
+def _columns(path):
+    """A CSV's lines as lists of cells, header first."""
+    return [line.split(",") for line in path.read_text().splitlines()]
+
+
+def test_window_end_dates_on_a_panel_with_holes(tmp_path):
+    # A hole in BASE skips the same windows in every pair.  Holes in A and B
+    # each skip one more window, at opposite ends: equal counts, other dates.
+    # Each window's end_date is the panel date of its last row.
+    panel = toy_panel(tickers=("BASE", "A", "B", "C", "D"))
+    vals = panel.values.copy()
+    vals[130, 0] = vals[5, 1] = vals[295, 2] = np.nan
+    holed = ReturnPanel(dates=panel.dates, tickers=panel.tickers, values=vals)
+    reports = run_pairs(holed, "BASE", ("A", "B", "C", "D"), PipelineConfig(window=100, step=10, grid_size=10))
+    write_run(tmp_path / "all", holed.dates, reports, None, manifest={})
+    lines = {t: _columns(tmp_path / "all" / "pairs" / f"BASE_{t}.csv")[1:] for t in "ABCD"}
+    for t, rows in lines.items():
+        assert [cells[1] for cells in rows] == [holed.dates[int(cells[0]) + 99] for cells in rows], t
+    full = [0, 10, 20, 30, 140, 150, 160, 170, 180, 190, 200]
+    assert [int(cells[0]) for cells in lines["A"]] == full[1:]
+    assert [int(cells[0]) for cells in lines["B"]] == full[:-1]
+    assert [int(cells[0]) for cells in lines["C"]] == full
+    assert [cells[:2] for cells in lines["C"]] == [cells[:2] for cells in lines["D"]]
+    with pytest.raises(DataError, match=re.escape("pair (BASE, B) has mismatched window dates")):
+        cross_section(reports)
+    write_run(tmp_path / "cd", holed.dates, reports[2:], cross_section(reports[2:]), manifest={})
+    for name in reports[0].measure_names:
+        cross = _columns(tmp_path / "cd" / "cross_section" / f"{name}.csv")[1:]
+        assert [cells[0] for cells in cross] == [cells[1] for cells in lines["C"]], name
